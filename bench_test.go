@@ -150,7 +150,7 @@ func BenchmarkPortfolio(b *testing.B) {
 	} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				winner, _, err := portfolio.Run(g, w, members, 0)
+				winner, _, err := portfolio.Run(context.Background(), g, w, members, portfolio.Options{})
 				if err != nil || winner.Status != sat.Unsat {
 					b.Fatalf("%v %v", winner.Status, err)
 				}
@@ -179,7 +179,7 @@ func benchSharedPortfolio(b *testing.B, shared bool) {
 		if shared {
 			opts.Share = &share.Options{}
 		}
-		winner, all, err := portfolio.RunHardened(context.Background(), g, w, lanes, opts)
+		winner, all, err := portfolio.Run(context.Background(), g, w, lanes, opts)
 		if err != nil || winner.Status != sat.Unsat {
 			b.Fatalf("%v %v", winner.Status, err)
 		}

@@ -103,7 +103,9 @@ func TestPublicAPIBenchmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	winner, _, err := fpgasat.RunPortfolio(g, in.RoutableW, fpgasat.MustStrategies(fpgasat.PaperPortfolio3()), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	winner, _, err := fpgasat.RunPortfolio(ctx, g, in.RoutableW, fpgasat.MustStrategies(fpgasat.PaperPortfolio3()), fpgasat.PortfolioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestPublicAPIObservability(t *testing.T) {
 	metrics := fpgasat.NewMetrics()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	winner, all, err := fpgasat.RunPortfolioObserved(ctx, conflict, ub, fpgasat.MustStrategies(fpgasat.PaperPortfolio3()), metrics)
+	winner, all, err := fpgasat.RunPortfolio(ctx, conflict, ub, fpgasat.MustStrategies(fpgasat.PaperPortfolio3()), fpgasat.PortfolioOptions{Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,7 @@ func TestPublicAPIBandwidth(t *testing.T) {
 	defer cancel()
 	session := fpgasat.NewSession(nil)
 	lanes := fpgasat.MustStrategies(fpgasat.BandwidthPortfolio())
-	winner, _, err := session.Portfolio(ctx, g, 5, lanes)
+	winner, _, err := session.PortfolioHardened(ctx, g, 5, lanes, fpgasat.PortfolioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

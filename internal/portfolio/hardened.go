@@ -1,9 +1,9 @@
 package portfolio
 
-// This file is the fault-tolerant supervision layer around the
-// portfolio: every lane runs under recover() so a panic in an
-// encoding, the solver or the decoder degrades the run to the
-// surviving lanes instead of crashing the process; definite answers
+// This file holds Run and its fault-tolerant supervision layer: every
+// lane runs under recover() so a panic in an encoding, the solver or
+// the decoder degrades the run to the surviving lanes instead of
+// crashing the process; definite answers
 // can be independently re-verified before being crowned ("paranoid
 // mode"); and lanes whose conflict budget ran out are retried with
 // escalated budgets under a per-lane watchdog, so a stuck strategy
@@ -12,6 +12,7 @@ package portfolio
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -24,8 +25,8 @@ import (
 	"fpgasat/internal/share"
 )
 
-// Robustness metric names emitted by RunHardened (and by RunMinWidth
-// for lane panics).
+// Robustness metric names emitted by Run (and by RunMinWidth for lane
+// panics).
 const (
 	// MetricPanics counts portfolio lanes (decision and width-search)
 	// that panicked and were converted into Result.Err.
@@ -47,7 +48,7 @@ const (
 	MetricPoolOversized = "sat.reset.oversized"
 )
 
-// Clause-sharing metric names emitted by RunHardened when Options.Share
+// Clause-sharing metric names emitted by Run when Options.Share
 // is set, mirroring share.Stats.
 const (
 	MetricShareExported   = "portfolio.share.exported"
@@ -58,15 +59,24 @@ const (
 	MetricShareRejected   = "portfolio.share.rejected"
 )
 
-// Options configures a hardened portfolio run. The zero value
-// reproduces the classic first-answer-wins behaviour: fresh solvers,
-// no telemetry, no paranoid checks, no retries, no watchdog.
+// ErrAbandoned is wrapped by the error of a lane the watchdog gave up
+// on: one that stayed unresponsive a full LaneTimeout after the run was
+// decided.
+var ErrAbandoned = errors.New("abandoned by watchdog")
+
+// Options configures a portfolio run. The zero value is the classic
+// first-answer-wins race: lane solvers from the package lane pool, no
+// telemetry, no paranoid checks, no retries, no watchdog.
 type Options struct {
-	// Metrics receives per-strategy telemetry and the robustness
+	// Metrics receives per-strategy telemetry — encode and solve
+	// timers, CNF size gauges, win counters and the winner margin (how
+	// long after the winner the next lane finished, i.e. the
+	// cancellation latency the portfolio pays) — plus the robustness
 	// counters; nil disables telemetry.
 	Metrics *obs.Registry
-	// Pool supplies lane solvers (nil builds fresh ones). A lane that
-	// panics abandons its solver instead of returning it to the pool.
+	// Pool supplies lane solvers; nil draws them from the package lane
+	// pool, so sequential runs reuse solver capacity. A lane that panics
+	// abandons its solver instead of returning it to the pool.
 	Pool *sat.Pool
 	// Solver is the base solver configuration of every lane; its
 	// ConflictBudget (when positive) is the unit the retry schedule
@@ -123,15 +133,25 @@ type laneSetup struct {
 	share *share.Lane
 }
 
-// RunHardened is RunPooled with the full supervision layer: panic
-// isolation per lane, optional answer self-checking, budgeted retries
-// and a lane watchdog, all configured through opts. The first
-// error-free definite answer wins and cancels the rest; a soundness
-// violation caught by paranoid mode fails the whole run loudly, like
-// the Sat/Unsat-disagreement guard it extends.
-func RunHardened(ctx context.Context, g *graph.Graph, k int, strategies []core.Strategy, opts Options) (Result, []Result, error) {
+// Run solves the k-coloring of g with all strategies concurrently. The
+// first error-free definite answer (Sat or Unsat) wins and cancels the
+// rest, which report Unknown; the run also ends early when ctx is
+// cancelled or its deadline passes. Every lane is panic-isolated: a
+// crashing lane surfaces a *robust.PanicError in its Result and the run
+// degrades to the survivors. opts adds telemetry, paranoid answer
+// checking, budgeted retries, a lane watchdog and clause sharing.
+//
+// Run returns the winning result and the per-strategy results in input
+// order. An error is returned if no strategy answered, if two
+// strategies gave contradictory definite answers, or if paranoid mode
+// caught a soundness violation — an encoding bug that must not be
+// masked by crowning a faster lane.
+func Run(ctx context.Context, g *graph.Graph, k int, strategies []core.Strategy, opts Options) (Result, []Result, error) {
 	if len(strategies) == 0 {
 		return Result{}, nil, fmt.Errorf("portfolio: no strategies")
+	}
+	if opts.Pool == nil {
+		opts.Pool = &lanePool
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -226,8 +246,8 @@ collect:
 				results[i] = Result{
 					Strategy: strategies[i],
 					Status:   sat.Unknown,
-					Err: fmt.Errorf("portfolio: lane %s unresponsive for %v after cancellation; abandoned by watchdog",
-						strategies[i].Name(), opts.LaneTimeout),
+					Err: fmt.Errorf("portfolio: lane %s unresponsive for %v after cancellation; %w",
+						strategies[i].Name(), opts.LaneTimeout, ErrAbandoned),
 				}
 				if opts.Metrics != nil {
 					opts.Metrics.Counter(MetricAbandoned).Inc()
@@ -236,7 +256,7 @@ collect:
 			break collect
 		}
 	}
-	if opts.Metrics != nil && opts.Pool != nil {
+	if opts.Metrics != nil {
 		ps := opts.Pool.Stats()
 		opts.Metrics.Gauge(MetricPoolGets).Set(ps.Gets)
 		opts.Metrics.Gauge(MetricPoolReuses).Set(ps.Reuses)
@@ -370,13 +390,7 @@ func runAttempt(ctx context.Context, g *graph.Graph, k int, s core.Strategy, opt
 		return res // cancelled before this member even encoded
 	}
 
-	var solver *sat.Solver
-	if opts.Pool != nil {
-		solver = opts.Pool.Get(solverOpts)
-	} else {
-		solver = sat.New(solverOpts)
-	}
-
+	solver := opts.Pool.Get(solverOpts)
 	span := reg.StartSpan(MetricEncode + "." + name)
 	csp := core.BuildCSP(g, k, s.Symmetry)
 	enc := core.EncodeInto(csp, s.Encoding, sat.SolverSink{S: solver})
@@ -406,9 +420,7 @@ func runAttempt(ctx context.Context, g *graph.Graph, k int, s core.Strategy, opt
 	res.SolveTime = span.End()
 	// The solve is over and the model decoded: return the solver before
 	// the (potentially slow) paranoid checks so other work can reuse it.
-	if opts.Pool != nil {
-		opts.Pool.Put(solver)
-	}
+	opts.Pool.Put(solver)
 
 	robust.Hit(robust.FPPortfolioLaneResult, name, &res)
 	if res.Err == nil {

@@ -83,7 +83,7 @@ func (s *Solver) Load(c *CNF) bool {
 	return true
 }
 
-// Result bundles the outcome of SolveCNF.
+// Result bundles the outcome of SolveCNFContext or SolveCNFReusing.
 type Result struct {
 	Status Status
 	// Model, for Sat results, maps DIMACS variable v (1-based) to
@@ -92,17 +92,16 @@ type Result struct {
 	Stats Stats
 	// Err is set by supervised wrappers (e.g. Session.SolveCNF) when
 	// the solve failed abnormally — typically a *robust.PanicError from
-	// a crashed solve; Status is Unknown in that case. The plain
-	// SolveCNF* functions leave it nil.
+	// a crashed solve; Status is Unknown in that case. SolveCNFContext
+	// and SolveCNFReusing leave it nil.
 	Err error
 }
 
-// SolveCNFContext is SolveCNF with context-based cancellation: the
-// solve returns Unknown promptly once ctx is cancelled or its deadline
-// passes. This is the preferred cancellation API; the stop-channel
-// parameter of SolveCNF is retained for backward compatibility.
+// SolveCNFContext loads the formula into a fresh solver configured with
+// opts and solves it. The solve returns Unknown promptly once ctx is
+// cancelled or its deadline passes.
 func SolveCNFContext(ctx context.Context, c *CNF, opts Options) Result {
-	return solveCNFOn(New(opts), c, ctx.Done())
+	return SolveCNFReusing(ctx, nil, c, opts)
 }
 
 // SolveCNFReusing is SolveCNFContext on a pooled solver: the solver is
@@ -110,33 +109,19 @@ func SolveCNFContext(ctx context.Context, c *CNF, opts Options) Result {
 // one solve, and returned afterwards. A nil pool falls back to a fresh
 // solver.
 func SolveCNFReusing(ctx context.Context, pool *Pool, c *CNF, opts Options) Result {
-	if pool == nil {
-		return SolveCNFContext(ctx, c, opts)
-	}
 	s := pool.Get(opts)
-	res := solveCNFOn(s, c, ctx.Done())
+	res := solveCNFOn(s, ctx, c)
 	// Deliberately not deferred: a panicking solve must abandon the
 	// solver rather than return its corrupted state to the pool.
 	pool.Put(s)
 	return res
 }
 
-// SolveCNF is a convenience wrapper: load the formula into a fresh
-// solver with the given options and solve it. The stop channel, when
-// non-nil, cancels the solve when closed (used by portfolio runs).
-//
-// Deprecated for new code: prefer SolveCNFContext, which accepts a
-// context.Context instead of a raw channel.
-func SolveCNF(c *CNF, opts Options, stop <-chan struct{}) Result {
-	return solveCNFOn(New(opts), c, stop)
-}
-
-// solveCNFOn loads the formula into s and solves it, with optional
-// stop-channel cancellation. The watcher goroutine is joined before
-// returning so that a late Stop can never land on a solver that has
-// already been handed to another solve (essential once solvers are
-// pooled and reused).
-func solveCNFOn(s *Solver, c *CNF, stop <-chan struct{}) Result {
+// solveCNFOn loads the formula into s and solves it under ctx.
+// SolveAssumingContext joins its cancellation watcher before returning,
+// so a late Stop can never land on a solver that has already been
+// handed to another solve (essential once solvers are pooled).
+func solveCNFOn(s *Solver, ctx context.Context, c *CNF) Result {
 	if !s.Load(c) {
 		// Refuted during loading (conflicting units at level 0). Solve
 		// on the refuted database is a cheap no-op that still closes
@@ -144,30 +129,7 @@ func solveCNFOn(s *Solver, c *CNF, stop <-chan struct{}) Result {
 		// directly would leave a proof that derives nothing.
 		return Result{Status: s.Solve(), Stats: s.Stats}
 	}
-	var st Status
-	if stop != nil {
-		done := make(chan struct{})
-		exited := make(chan struct{})
-		go func() {
-			defer close(exited)
-			select {
-			case <-stop:
-				s.Stop()
-			case <-done:
-			}
-		}()
-		st = func() Status {
-			// Deferred so the watcher is joined even when the solve
-			// panics and the panic unwinds through a recover boundary.
-			defer func() {
-				close(done)
-				<-exited
-			}()
-			return s.Solve()
-		}()
-	} else {
-		st = s.Solve()
-	}
+	st := s.SolveAssumingContext(ctx)
 	res := Result{Status: st, Stats: s.Stats}
 	if st == Sat {
 		m := s.Model()

@@ -14,7 +14,8 @@ import (
 // The zero value is ready to use. Get hands out a solver configured
 // for the given options; Put returns it once no solve is running and
 // no other goroutine can still call Stop on it (join any cancellation
-// watcher first — see SolveAssumingContext for the pattern).
+// watcher first — see SolveAssumingContext for the pattern). A nil
+// *Pool is valid too: Get builds a fresh solver and Put drops it.
 type Pool struct {
 	// MaxRetainedWords caps the footprint a solver may retain to be
 	// pooled: a solver whose clause-arena capacity plus watch-list
@@ -45,6 +46,9 @@ const DefaultMaxRetainedWords = 1 << 23
 // either a reused instance (retaining allocated capacity) or freshly
 // created.
 func (p *Pool) Get(opts Options) *Solver {
+	if p == nil {
+		return New(opts)
+	}
 	p.gets.Add(1)
 	if s, ok := p.p.Get().(*Solver); ok && s != nil {
 		p.reuses.Add(1)
@@ -61,7 +65,7 @@ func (p *Pool) Get(opts Options) *Solver {
 // solver afterwards, and no goroutine may still hold a Stop reference
 // to it.
 func (p *Pool) Put(s *Solver) {
-	if s == nil {
+	if p == nil || s == nil {
 		return
 	}
 	st := s.ArenaStats()

@@ -168,6 +168,21 @@ func TestPoolConcurrent(t *testing.T) {
 	}
 }
 
+// TestNilPoolBuildsFreshSolvers: a nil *Pool hands out fresh solvers
+// and drops returned ones, so callers need no pool-or-not branch.
+func TestNilPoolBuildsFreshSolvers(t *testing.T) {
+	var pool *Pool
+	s := pool.Get(Options{})
+	s.Load(php(6, 5))
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("php(6,5) = %v, want Unsat", st)
+	}
+	pool.Put(s)
+	if res := SolveCNFReusing(context.Background(), pool, php(5, 5), Options{}); res.Status != Sat {
+		t.Fatalf("php(5,5) on a nil pool = %v, want Sat", res.Status)
+	}
+}
+
 // TestPoolDropsOversizedSolvers: a solver whose retained footprint
 // exceeds MaxRetainedWords must be dropped by Put (and counted) so one
 // huge instance cannot bloat every later borrower, while a pool with

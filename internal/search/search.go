@@ -66,11 +66,11 @@ type Options struct {
 	Binary bool
 	// Solver configures the underlying incremental solver.
 	Solver sat.Options
-	// Pool, when non-nil, supplies the search's solver and receives it
-	// back when the search ends, so repeated searches (portfolio
-	// members, batch experiments, service requests) reuse clause-arena
-	// and watch-list capacity instead of growing a fresh solver each
-	// time.
+	// Pool supplies the search's solver and receives it back when the
+	// search ends, so repeated searches (portfolio members, batch
+	// experiments, service requests) reuse clause-arena and watch-list
+	// capacity instead of growing a fresh solver each time. A nil Pool
+	// builds a fresh solver.
 	Pool *sat.Pool
 	// ProbeTimeout bounds each width probe; 0 means no per-probe bound.
 	// A probe that times out ends the search with the best width found
@@ -155,12 +155,7 @@ func minWidthOn(ctx context.Context, g *graph.Graph, opts Options, lo int, res *
 	}
 	reg := opts.Metrics
 
-	var solver *sat.Solver
-	if opts.Pool != nil {
-		solver = opts.Pool.Get(opts.Solver)
-	} else {
-		solver = sat.New(opts.Solver)
-	}
+	solver := opts.Pool.Get(opts.Solver)
 	span := reg.StartSpan(MetricEncode + suffix)
 	csp := core.BuildCSP(g, opts.Hi, opts.Strategy.Symmetry)
 	inc := core.EncodeIncremental(csp, opts.Strategy.Encoding, lo, sat.SolverSink{S: solver})
@@ -231,9 +226,7 @@ func minWidthOn(ctx context.Context, g *graph.Graph, opts Options, lo int, res *
 	}
 	// Reached only when no probe panicked: the solver is healthy and
 	// may carry its capacity to the next search.
-	if opts.Pool != nil {
-		opts.Pool.Put(solver)
-	}
+	opts.Pool.Put(solver)
 	return err
 }
 

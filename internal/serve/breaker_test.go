@@ -1,8 +1,14 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"fpgasat/internal/portfolio"
+	"fpgasat/internal/robust"
+	"fpgasat/internal/sat"
 )
 
 // newTestBreaker builds a breaker on an adjustable fake clock.
@@ -121,5 +127,34 @@ func TestBreakerIgnoresStaleResults(t *testing.T) {
 	b.onResult(false, false)
 	if b.current() != breakerOpen {
 		t.Fatal("stale non-probe success closed an open breaker")
+	}
+}
+
+// TestSupervisionFailure pins which finished runs feed a shard's
+// breaker: lane panics, soundness violations and watchdog abandonments
+// do; deadline expiry and budget exhaustion are healthy overload and
+// do not.
+func TestSupervisionFailure(t *testing.T) {
+	panicked := robust.NewPanicError("portfolio lane x", "boom")
+	abandoned := fmt.Errorf("portfolio: lane x unresponsive for 1s after cancellation; %w", portfolio.ErrAbandoned)
+	undecided := errors.New("portfolio: no strategy answered within the timeout")
+	unknown := portfolio.Result{Status: sat.Unknown, Attempts: 1}
+	for _, tc := range []struct {
+		name string
+		err  error
+		all  []portfolio.Result
+		want bool
+	}{
+		{"lane panic", nil, []portfolio.Result{unknown, {Status: sat.Unknown, Err: panicked}}, true},
+		{"run panic", fmt.Errorf("portfolio: strategy x failed: %w", panicked), nil, true},
+		{"soundness", fmt.Errorf("portfolio: %w", &robust.SoundnessError{Strategy: "x", Claim: "Sat", Err: undecided}), nil, true},
+		{"abandoned", undecided, []portfolio.Result{unknown, {Status: sat.Unknown, Err: abandoned}}, true},
+		{"deadline only", undecided, []portfolio.Result{unknown, unknown}, false},
+		{"budget exhausted", undecided, []portfolio.Result{{Status: sat.Unknown, Attempts: 4}}, false},
+		{"answered", nil, []portfolio.Result{{Status: sat.Unsat, Attempts: 1}, unknown}, false},
+	} {
+		if got := supervisionFailure(tc.err, tc.all); got != tc.want {
+			t.Errorf("%s: supervisionFailure = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

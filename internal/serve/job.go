@@ -188,19 +188,6 @@ type jobTable struct {
 	order []*Job
 }
 
-func (t *jobTable) add(j *Job, maxJobs int) {
-	t.mu.Lock()
-	t.byID[j.ID] = j
-	if j.key != "" {
-		t.byKey[j.key] = j
-	}
-	t.order = append(t.order, j)
-	t.mu.Unlock()
-	if maxJobs > 0 {
-		t.gc(time.Time{}, maxJobs)
-	}
-}
-
 // addOrGet registers j unless another job already holds its
 // idempotency key, in which case the existing job is returned with
 // dup=true and j is discarded. The check-and-insert is atomic, so two

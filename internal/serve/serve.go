@@ -13,7 +13,7 @@
 // than buffering unboundedly — callers are expected to back off and
 // retry, which keeps tail latency honest under overload.
 //
-// Every job runs through portfolio.RunHardened, so the daemon inherits
+// Every job runs through portfolio.Run, so the daemon inherits
 // the whole supervision stack: panic-isolated lanes, paranoid answer
 // verification, budgeted conflict-budget retries and per-lane
 // watchdogs. The per-job deadline becomes a context deadline on the
@@ -29,6 +29,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -467,24 +468,19 @@ func (s *Server) restoreRecovered(recovered []RecoveredJob) []*Job {
 	var pending []*Job
 	for _, rj := range recovered {
 		if rj.View != nil {
-			job := &Job{ID: rj.ID, key: rj.Key, view: *rj.View, done: make(chan struct{})}
-			job.finished = rj.FinishedAt
-			if job.finished.IsZero() {
-				job.finished = time.Now()
-			}
-			close(job.done)
-			s.jobs.addOrGet(job, s.opts.MaxJobs)
+			s.jobs.addOrGet(finishedJob(rj.ID, rj.Key, *rj.View, rj.FinishedAt), s.opts.MaxJobs)
 			s.reg.Counter(MetricJournalRestored).Inc()
 			continue
 		}
-		job, err := s.rebuildJob(rj)
+		// The rebuilt job's deadline restarts from now — the original
+		// absolute deadline usually lies in the crashed process's past,
+		// and re-enqueueing a job only to shed it at dequeue would turn
+		// every recovery into a loss.
+		job, err := s.newJob(rj.ID, rj.Key, &rj.Req)
 		if err != nil {
-			job = &Job{ID: rj.ID, key: rj.Key, done: make(chan struct{})}
-			job.view = JobView{ID: rj.ID, State: StateDone, Answer: AnswerUndecided,
+			view := JobView{ID: rj.ID, State: StateDone, Answer: AnswerUndecided,
 				Error: fmt.Sprintf("recovery: %v", err), SubmittedAt: rj.SubmittedAt}
-			job.finished = time.Now()
-			close(job.done)
-			s.jobs.addOrGet(job, s.opts.MaxJobs)
+			s.jobs.addOrGet(finishedJob(rj.ID, rj.Key, view, time.Time{}), s.opts.MaxJobs)
 			continue
 		}
 		s.jobs.addOrGet(job, s.opts.MaxJobs)
@@ -494,29 +490,39 @@ func (s *Server) restoreRecovered(recovered []RecoveredJob) []*Job {
 	return pending
 }
 
-// rebuildJob reconstructs a runnable job from its journaled request.
-// The deadline restarts from now — the original absolute deadline
-// usually lies in the crashed process's past, and re-enqueueing a job
-// only to shed it at dequeue would turn every recovery into a loss.
-func (s *Server) rebuildJob(rj RecoveredJob) (*Job, error) {
-	req := rj.Req
-	if err := validateKnobs(&req); err != nil {
+// finishedJob builds a job that is already done with the given view,
+// finished at the given time (now when zero).
+func finishedJob(id, key string, view JobView, finished time.Time) *Job {
+	if finished.IsZero() {
+		finished = time.Now()
+	}
+	job := &Job{ID: id, key: key, view: view, finished: finished, done: make(chan struct{})}
+	close(job.done)
+	return job
+}
+
+// newJob validates a request and builds its queued job — the one
+// constructor behind both submits and journal recovery. id may be
+// empty when the caller assigns it on admission. The job is stamped
+// as submitted once its problem is resolved, and its deadline runs
+// from that instant.
+func (s *Server) newJob(id, key string, req *SolveRequest) (*Job, error) {
+	if err := validateKnobs(req); err != nil {
 		return nil, err
 	}
-	g, width, instName, err := s.resolveProblem(&req)
+	g, width, instName, err := s.resolveProblem(req)
 	if err != nil {
 		return nil, err
 	}
-	strategies, popts, err := s.resolveRun(&req)
+	strategies, popts, err := s.resolveRun(req)
 	if err != nil {
 		return nil, err
 	}
 	deadline := s.effectiveDeadline(req.DeadlineMS)
-	sh := s.classify(g.N())
 	now := time.Now()
 	job := &Job{
-		ID:         rj.ID,
-		key:        rj.Key,
+		ID:         id,
+		key:        key,
 		g:          g,
 		width:      width,
 		strategies: strategies,
@@ -527,11 +533,11 @@ func (s *Server) rebuildJob(rj RecoveredJob) (*Job, error) {
 		done:       make(chan struct{}),
 	}
 	job.view = JobView{
-		ID:          rj.ID,
+		ID:          id,
 		State:       StateQueued,
 		Instance:    instName,
 		Width:       width,
-		Shard:       sh.cfg.Name,
+		Shard:       s.classify(g.N()).cfg.Name,
 		Priority:    priorityName(req.Priority),
 		Vertices:    g.N(),
 		Edges:       g.M(),
@@ -696,43 +702,11 @@ func (s *Server) Submit(req SolveRequest) (*Job, error) {
 // with duplicate=true and nothing new is admitted — the client retry
 // contract across crashes and timeouts.
 func (s *Server) SubmitDedup(req SolveRequest) (job *Job, duplicate bool, err error) {
-	if err := validateKnobs(&req); err != nil {
-		return nil, false, err
-	}
-	g, width, instName, err := s.resolveProblem(&req)
+	job, err = s.newJob("", req.IdempotencyKey, &req)
 	if err != nil {
 		return nil, false, err
 	}
-	strategies, popts, err := s.resolveRun(&req)
-	if err != nil {
-		return nil, false, err
-	}
-
-	deadline := s.effectiveDeadline(req.DeadlineMS)
-	sh := s.classify(g.N())
-	now := time.Now()
-	job = &Job{
-		key:        req.IdempotencyKey,
-		g:          g,
-		width:      width,
-		strategies: strategies,
-		popts:      popts,
-		wantColors: req.WantColors,
-		priority:   req.Priority,
-		deadline:   now.Add(deadline),
-		done:       make(chan struct{}),
-	}
-	job.view = JobView{
-		State:       StateQueued,
-		Instance:    instName,
-		Width:       width,
-		Shard:       sh.cfg.Name,
-		Priority:    priorityName(req.Priority),
-		Vertices:    g.N(),
-		Edges:       g.M(),
-		SubmittedAt: now,
-		DeadlineMS:  deadline.Milliseconds(),
-	}
+	sh := s.classify(job.view.Vertices)
 
 	s.admit.RLock()
 	defer s.admit.RUnlock()
@@ -782,7 +756,7 @@ func (s *Server) SubmitDedup(req SolveRequest) (job *Job, duplicate bool, err er
 	// Durable accept: the submit record is fsynced before the job is
 	// published to a worker or the caller — once Submit returns, a
 	// crash cannot lose the job.
-	if jerr := s.journalSubmit(job, &req, now); jerr != nil {
+	if jerr := s.journalSubmit(job, &req, job.view.SubmittedAt); jerr != nil {
 		slot.Add(-1)
 		releaseProbe()
 		s.jobs.remove(job)
@@ -962,7 +936,7 @@ func (s *Server) JobCount() int { return s.jobs.len() }
 // worker drains one shard's queues — interactive strictly before
 // batch — until Drain closes them. Each job runs under the server's
 // base context capped by the job deadline; the solve itself is
-// supervised by portfolio.RunHardened, and the worker loop itself is a
+// supervised by portfolio.Run, and the worker loop itself is a
 // panic boundary: a crash in the serve layer fails the one job (and
 // feeds the shard's breaker) instead of killing the process.
 func (s *Server) worker(sh *shard) {
@@ -1123,7 +1097,7 @@ func (s *Server) runJob(sh *shard, job *Job) {
 	popts := job.popts
 	popts.Pool = &sh.pool
 	span := s.reg.StartSpan(MetricSolve)
-	winner, all, err := portfolio.RunHardened(ctx, job.g, job.width, job.strategies, popts)
+	winner, all, err := portfolio.Run(ctx, job.g, job.width, job.strategies, popts)
 	elapsed := span.End()
 	deadlineExceeded := ctx.Err() == context.DeadlineExceeded
 	cancel()
@@ -1178,9 +1152,7 @@ func supervisionFailure(err error, all []portfolio.Result) bool {
 		if _, ok := robust.AsSoundness(e); ok {
 			return true
 		}
-		// The watchdog reports abandonment as a plain error (see
-		// portfolio.RunHardened); match its fixed message.
-		return strings.Contains(e.Error(), "abandoned by watchdog")
+		return errors.Is(e, portfolio.ErrAbandoned)
 	}
 	if check(err) {
 		return true
