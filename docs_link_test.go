@@ -1,10 +1,11 @@
 package fpgasat_test
 
 // TestDocsRelativeLinks is the link checker behind CI's docs-check
-// job: every relative markdown link in README.md and docs/ must
-// resolve to a file or directory in the repository, so renames and
-// deletions cannot silently orphan the documentation. External (http)
-// and intra-document (#anchor) links are out of scope.
+// job: every relative markdown link in the documentation must resolve
+// to a file or directory in the repository, and every cmd/<name> it
+// mentions must be a command directory, so renames and deletions
+// cannot silently orphan the documentation. External (http) and
+// intra-document (#anchor) links are out of scope.
 
 import (
 	"os"
@@ -18,8 +19,11 @@ import (
 // the syntax and are checked the same way.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// cmdMention matches a mention of a command, cmd/<name>.
+var cmdMention = regexp.MustCompile(`\bcmd/(\w+)`)
+
 func TestDocsRelativeLinks(t *testing.T) {
-	files := []string{"README.md"}
+	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 	entries, err := os.ReadDir("docs")
 	if err != nil {
 		t.Fatalf("reading docs/: %v", err)
@@ -50,6 +54,11 @@ func TestDocsRelativeLinks(t *testing.T) {
 				t.Errorf("%s: broken relative link %q (%v)", file, m[1], err)
 			}
 			checked++
+		}
+		for _, m := range cmdMention.FindAllStringSubmatch(string(raw), -1) {
+			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
+				t.Errorf("%s: %q names no command directory under cmd/", file, m[0])
+			}
 		}
 	}
 	if checked == 0 {

@@ -458,12 +458,3 @@ func ParseCNFDIMACS(r io.Reader) (*CNF, error) { return sat.ParseDIMACS(r) }
 // nil for a valid refutation — a machine-checkable unroutability
 // certificate.
 func CheckDRAT(c *CNF, proof io.Reader) error { return sat.CheckDRAT(c, proof) }
-
-// SimplifiedCNF is the result of preprocessing a formula; see
-// SimplifyCNF.
-type SimplifiedCNF = sat.Simplified
-
-// SimplifyCNF preprocesses a formula with unit propagation and
-// pure-literal elimination; Extend turns models of the reduced formula
-// back into models of the original.
-func SimplifyCNF(c *CNF) *SimplifiedCNF { return sat.Simplify(c) }

@@ -2,8 +2,9 @@
 // greedy and DSATUR heuristics (upper bounds), a clique heuristic
 // (lower bound), and an exact branch-and-bound search. The SAT-based
 // flow in package core is the paper's contribution; these baselines
-// calibrate benchmark instances (find the exact chromatic number) and
-// cross-check SAT answers in tests.
+// bound the width search that calibrates benchmark instances
+// (mcnc.FindChi), serve as the one-net-at-a-time comparison of the
+// experiments, and cross-check SAT answers in tests.
 package coloring
 
 import (

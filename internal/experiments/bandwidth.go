@@ -197,9 +197,3 @@ func (r *BandwidthResult) Report() *BenchReport {
 		},
 	}
 }
-
-// WriteJSON emits the machine-readable benchmark record
-// (BENCH_bandwidth.json) in the unified bench schema.
-func (r *BandwidthResult) WriteJSON(w io.Writer) error {
-	return r.Report().WriteJSON(w)
-}

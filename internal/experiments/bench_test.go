@@ -118,7 +118,7 @@ func TestBandwidthSmoke(t *testing.T) {
 		t.Fatalf("markdown lacks expected cells:\n%s", md)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.Report().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := ParseBenchReport(&buf)

@@ -3,6 +3,11 @@
 // Table 2, the routable-configuration comparison and the portfolio
 // study), plus an encoding-size ablation. Results are rendered as
 // Markdown so they can be diffed against EXPERIMENTS.md.
+//
+// Three more studies maintain the benchmark suite itself: RunCalibrate
+// re-measures every instance's RoutableW, RunSeedScan reproduces the
+// choice of the Table-2 generator seeds, and RunExport writes each
+// instance's conflict graph, netlist and global routing to files.
 package experiments
 
 import (

@@ -174,9 +174,3 @@ func (r *ScaleResult) Report() *BenchReport {
 		},
 	}
 }
-
-// WriteJSON emits the machine-readable benchmark record
-// (BENCH_scale.json) in the unified bench schema.
-func (r *ScaleResult) WriteJSON(w io.Writer) error {
-	return r.Report().WriteJSON(w)
-}

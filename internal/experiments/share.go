@@ -241,9 +241,3 @@ func (r *ShareCompareResult) Report() *BenchReport {
 		},
 	}
 }
-
-// WriteJSON emits the machine-readable benchmark record
-// (BENCH_portfolio.json) in the unified bench schema.
-func (r *ShareCompareResult) WriteJSON(w io.Writer) error {
-	return r.Report().WriteJSON(w)
-}

@@ -38,14 +38,14 @@ type ChiResult struct {
 // FindChi measures the chromatic number of a conflict graph — the
 // calibrated RoutableW of an instance — with the incremental width
 // search, descending from the DSATUR upper bound. It is the one width-
-// probe loop shared by cmd/calibrate and cmd/seedscan: each strategy
-// encodes once at the upper bound and probes widths via selector
-// assumptions on a single solver; with more than one strategy the
-// searches race and the first completed one wins. A clique of size c
-// proves chi >= c, so the search floor is the greedy-clique bound and
-// reaching it skips the final Unsat probe. probeTimeout bounds each
-// width probe (0 = none); reg (may be nil) receives the
-// search.minwidth.* telemetry.
+// probe loop shared by the calibration and seed-scan studies of package
+// experiments: each strategy encodes once at the upper bound and probes
+// widths via selector assumptions on a single solver; with more than
+// one strategy the searches race and the first completed one wins. A
+// clique of size c proves chi >= c, so the search floor is the
+// greedy-clique bound and reaching it skips the final Unsat probe.
+// probeTimeout bounds each width probe (0 = none); reg (may be nil)
+// receives the search.minwidth.* telemetry.
 func FindChi(ctx context.Context, g *graph.Graph, strategies []core.Strategy, probeTimeout time.Duration, reg *obs.Registry) (ChiResult, error) {
 	if len(strategies) == 0 {
 		return ChiResult{}, fmt.Errorf("mcnc: FindChi needs at least one strategy")
