@@ -38,6 +38,24 @@ func TestCalibrateMeasuresRoutableW(t *testing.T) {
 	}
 }
 
+// TestCalibrateDistanceInstances checks calibration on the crosstalk
+// companions, whose edge distances DSATUR's color count does not bound.
+func TestCalibrateDistanceInstances(t *testing.T) {
+	insts := mcnc.DistanceInstances()
+	r, err := RunCalibrate(CalibrateConfig{Instances: insts, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != len(insts) {
+		t.Fatalf("%d rows, want %d", len(r.Rows), len(insts))
+	}
+	for i, row := range r.Rows {
+		if !row.Chi.Proved || row.Chi.Chi != insts[i].RoutableW {
+			t.Errorf("%s: chi=%d (proved %v), want %d", row.Instance, row.Chi.Chi, row.Chi.Proved, insts[i].RoutableW)
+		}
+	}
+}
+
 // TestCalibrateReportsMismatch pins the calibration contract: an
 // instance whose registry width is not its measured chi fails the
 // study, and the error names it.

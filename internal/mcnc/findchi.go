@@ -26,7 +26,8 @@ type ChiResult struct {
 	// the clique lower bound, which proves optimality combinatorially).
 	Proved bool
 	// LowerBound is the greedy-clique size, UpperBound the DSATUR color
-	// count that seeded the search.
+	// count that seeded the search — on a weighted graph, the span of
+	// DSATUR's coloring spread by the largest edge distance.
 	LowerBound, UpperBound int
 	// Strategy names the winning strategy, Probes counts its width
 	// probes, Elapsed is the winner's wall-clock search time.
@@ -52,6 +53,15 @@ func FindChi(ctx context.Context, g *graph.Graph, strategies []core.Strategy, pr
 	}
 	res := ChiResult{LowerBound: len(coloring.GreedyClique(g))}
 	colors, ub := coloring.DSATUR(g)
+	if g.Weighted() {
+		// DSATUR ignores distances. Spacing its colors d apart, d the
+		// largest edge distance, satisfies every |c(u)-c(v)| >= d(u,v).
+		d := g.MaxEdgeWeight()
+		for v := range colors {
+			colors[v] *= d
+		}
+		ub = (ub-1)*d + 1
+	}
 	res.UpperBound = ub
 	if ub == 0 { // empty graph
 		res.Proved = true

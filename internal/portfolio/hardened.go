@@ -43,9 +43,6 @@ const (
 	// MetricAbandoned counts lanes that stayed unresponsive one full
 	// LaneTimeout past cancellation and were abandoned by the watchdog.
 	MetricAbandoned = "robust.watchdog.abandoned"
-	// MetricPoolOversized counts solvers the lane pool dropped instead
-	// of retaining because their footprint exceeded the pool cap.
-	MetricPoolOversized = "sat.reset.oversized"
 )
 
 // Clause-sharing metric names emitted by Run when Options.Share
@@ -255,14 +252,6 @@ collect:
 			}
 			break collect
 		}
-	}
-	if opts.Metrics != nil {
-		ps := opts.Pool.Stats()
-		opts.Metrics.Gauge(MetricPoolGets).Set(ps.Gets)
-		opts.Metrics.Gauge(MetricPoolReuses).Set(ps.Reuses)
-		opts.Metrics.Gauge(MetricArenaWords).Set(ps.ArenaWords)
-		opts.Metrics.Gauge(MetricArenaCap).Set(ps.ArenaCapWords)
-		opts.Metrics.Gauge(MetricPoolOversized).Set(ps.Oversized)
 	}
 	if ex != nil && opts.Metrics != nil {
 		// Sampled at decision time: lanes still draining after an early

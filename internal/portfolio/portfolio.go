@@ -24,13 +24,6 @@ const (
 	MetricCNFClauses   = "portfolio.cnf_clauses"      // gauge per strategy
 	MetricWins         = "portfolio.wins"             // counter per strategy
 	MetricWinnerMargin = "portfolio.winner_margin_ns" // gauge: runner-up lag behind the winner
-	// Solver-reuse metrics of the lane pool (see sat.Pool): cumulative
-	// solver hand-outs, how many were recycled instances, and the arena
-	// footprint sample of the most recently returned solver.
-	MetricPoolGets   = "sat.reset.solvers"
-	MetricPoolReuses = "sat.reset.count"
-	MetricArenaWords = "sat.arena.words"
-	MetricArenaCap   = "sat.arena.cap_words"
 )
 
 // Result is the outcome of one strategy within a portfolio run.

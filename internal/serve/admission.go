@@ -17,11 +17,12 @@ package serve
 //     the job's actual sojourn time, so short bursts ride through and
 //     only standing queues shed.
 //
-//   - Priority classes: every shard runs two queues, interactive
-//     (default) and batch. Workers always drain interactive first and
-//     only pick up batch work when no interactive job is waiting, so a
-//     flood of batch sweeps cannot add queueing delay to interactive
-//     traffic beyond the one job already being solved.
+//   - Priority classes: every shard's queue holds two FIFO classes,
+//     interactive (default) and batch, each bounded by the shard's
+//     QueueDepth. Workers always pop interactive first and only pick
+//     up batch work when no interactive job is waiting, so a flood of
+//     batch sweeps cannot add queueing delay to interactive traffic
+//     beyond the one job already being solved.
 
 import (
 	"math"
@@ -121,4 +122,101 @@ func retryAfterSeconds(d time.Duration) int {
 		secs = 1
 	}
 	return secs
+}
+
+// jobQueue is one shard's admission queue. A submit reserves a slot
+// before its journal fsync and pushes after it, so a full class is
+// found while no journal record exists; a reservation counts toward
+// the class's depth and backlog until it is pushed or released.
+type jobQueue struct {
+	mu       sync.Mutex
+	nonEmpty sync.Cond // signalled on push and close
+	depth    int
+	jobs     [2][]*Job // FIFO per class: interactive, batch
+	reserved [2]int
+	closed   bool
+}
+
+func newJobQueue(depth int) *jobQueue {
+	q := &jobQueue{depth: depth}
+	q.nonEmpty.L = &q.mu
+	return q
+}
+
+// class maps a job priority to its queue class.
+func class(priority string) int {
+	if priority == PriorityBatch {
+		return 1
+	}
+	return 0
+}
+
+// reserve claims a slot in the priority's class; false when it is full.
+func (q *jobQueue) reserve(priority string) bool {
+	c := class(priority)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.jobs[c])+q.reserved[c] >= q.depth {
+		return false
+	}
+	q.reserved[c]++
+	return true
+}
+
+// release gives back a reservation that will not be pushed.
+func (q *jobQueue) release(priority string) {
+	q.mu.Lock()
+	q.reserved[class(priority)]--
+	q.mu.Unlock()
+}
+
+// push appends a job to its class, consuming its reservation when
+// reserved is set. Recovered jobs push without one, past the depth if
+// need be: they were acknowledged before the restart.
+func (q *jobQueue) push(j *Job, reserved bool) {
+	c := class(j.priority)
+	q.mu.Lock()
+	if reserved {
+		q.reserved[c]--
+	}
+	q.jobs[c] = append(q.jobs[c], j)
+	q.mu.Unlock()
+	q.nonEmpty.Signal()
+}
+
+// pop blocks until a job is queued and returns the oldest of the
+// highest class; false once the queue is closed and empty.
+func (q *jobQueue) pop() (*Job, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		for c, jobs := range q.jobs {
+			if len(jobs) > 0 {
+				j := jobs[0]
+				jobs[0] = nil // the backing array must not pin the job
+				q.jobs[c] = jobs[1:]
+				return j, true
+			}
+		}
+		if q.closed {
+			return nil, false
+		}
+		q.nonEmpty.Wait()
+	}
+}
+
+// close ends admission: pop hands out the jobs still queued, then
+// reports false to every worker.
+func (q *jobQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.nonEmpty.Broadcast()
+}
+
+// backlog returns the reserved plus queued jobs of each class.
+func (q *jobQueue) backlog() (interactive, batch int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.jobs[0]) + q.reserved[0], len(q.jobs[1]) + q.reserved[1]
 }

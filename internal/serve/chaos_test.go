@@ -200,7 +200,7 @@ func TestChaosCrashRecoveryNoLossNoDup(t *testing.T) {
 	// recovered job, not admit a new one.
 	for _, cl := range results {
 		for key, id := range cl.accepted {
-			job, dup, err := s2.SubmitDedup(SolveRequest{
+			job, dup, err := s2.Submit(SolveRequest{
 				Graph: triangleCol, Width: 3, IdempotencyKey: key,
 			})
 			if err != nil {
@@ -233,6 +233,64 @@ func TestChaosCrashRecoveryNoLossNoDup(t *testing.T) {
 	}
 }
 
+// TestRecoverMoreJobsThanQueueDepth restarts over a journal holding
+// more unfinished jobs than the new server's queue depth: they were
+// acknowledged already, so every one is recovered and solved.
+func TestRecoverMoreJobsThanQueueDepth(t *testing.T) {
+	const n = 6
+	dir := t.TempDir()
+	s, err := NewServer(Options{
+		Shards:     []ShardConfig{{Name: "only", MaxVertices: 0, Workers: 1, QueueDepth: n}},
+		JournalDir: dir,
+		GCInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var once sync.Once
+	releaseAll := func() { once.Do(func() { close(release) }) }
+	robust.SetFailpoint(robust.FPServeWorker, func(args ...any) { <-release })
+	t.Cleanup(func() {
+		robust.ClearFailpoint(robust.FPServeWorker)
+		releaseAll()
+	})
+	var ids []string
+	for i := 0; i < n; i++ {
+		j, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	// Kill the journal before the held worker resumes, so no job can
+	// journal its result and all n stay unfinished on disk.
+	s.journal.kill()
+	robust.ClearFailpoint(robust.FPServeWorker)
+	releaseAll()
+	s.Crash()
+
+	reg := obs.NewRegistry()
+	s2 := newTestServer(t, Options{
+		Shards:     []ShardConfig{{Name: "only", MaxVertices: 0, Workers: 1, QueueDepth: 2}},
+		JournalDir: dir,
+		Metrics:    reg,
+	})
+	if got := reg.Counter(MetricJournalRecovered).Value(); got != n {
+		t.Errorf("%s = %d, want %d", MetricJournalRecovered, got, n)
+	}
+	for _, id := range ids {
+		job, ok := s2.Lookup(id)
+		if !ok {
+			t.Errorf("job %s lost across the restart", id)
+			continue
+		}
+		if v := waitDone(t, job); v.Answer != AnswerRoutable {
+			t.Errorf("recovered job %s: answer %s (error %q), want ROUTABLE", id, v.Answer, v.Error)
+		}
+	}
+}
+
 // TestChaosJournalWriteErrorRejectsSubmit proves the durability-or-
 // rejection contract: when the WAL cannot be written, the submit fails
 // with ErrJournal (503) and the job is neither queued nor retained.
@@ -245,7 +303,7 @@ func TestChaosJournalWriteErrorRejectsSubmit(t *testing.T) {
 	})
 	t.Cleanup(func() { robust.ClearFailpoint(robust.FPJournalAppend) })
 
-	_, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3, IdempotencyKey: "doomed"})
+	_, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3, IdempotencyKey: "doomed"})
 	if !errors.Is(err, ErrJournal) {
 		t.Fatalf("submit with failing journal returned %v, want ErrJournal", err)
 	}
@@ -258,7 +316,7 @@ func TestChaosJournalWriteErrorRejectsSubmit(t *testing.T) {
 
 	// The path must recover once the fault clears: same key, accepted.
 	robust.ClearFailpoint(robust.FPJournalAppend)
-	job, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3, IdempotencyKey: "doomed"})
+	job, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3, IdempotencyKey: "doomed"})
 	if err != nil {
 		t.Fatalf("submit after fault cleared: %v", err)
 	}
@@ -288,7 +346,7 @@ func TestChaosPanicStormTripsOnlyAffectedShard(t *testing.T) {
 	// injected panic, counting as a supervision failure).
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		job, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
+		job, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
 		var brkErr *BreakerOpenError
 		if errors.As(err, &brkErr) {
 			if brkErr.Shard != "small" {
@@ -316,7 +374,7 @@ func TestChaosPanicStormTripsOnlyAffectedShard(t *testing.T) {
 
 	// The sibling shard is untouched: a 12-vertex job routes to "large"
 	// and solves normally.
-	job, err := s.Submit(SolveRequest{Graph: cliqueDIMACS(12), Width: 12})
+	job, _, err := s.Submit(SolveRequest{Graph: cliqueDIMACS(12), Width: 12})
 	if err != nil {
 		t.Fatalf("large shard rejected a job while small is open: %v", err)
 	}
@@ -364,7 +422,7 @@ func TestChaosQueueStallSheds(t *testing.T) {
 
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
-		j, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
+		j, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

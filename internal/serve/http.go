@@ -63,7 +63,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding request: " + err.Error()})
 		return
 	}
-	job, duplicate, err := s.SubmitDedup(req)
+	job, duplicate, err := s.Submit(req)
 	if err != nil {
 		var reqErr *RequestError
 		var fullErr *QueueFullError
@@ -95,11 +95,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 		}
-		if !req.Wait {
-			writeJSON(w, http.StatusAccepted, job.View())
-			return
-		}
-		// fall through to the synchronous wait below
 	}
 	if !req.Wait {
 		writeJSON(w, http.StatusAccepted, job.View())

@@ -2,8 +2,8 @@ package serve
 
 // The durable job journal: an append-only write-ahead log that makes
 // the daemon crash-only. Every accepted job is journaled (and fsynced)
-// before the submit returns, every completed job's result is journaled
-// before it is published, and OpenJournal replays the log on startup —
+// before the submit returns, every completed job's result right after
+// it is published, and OpenJournal replays the log on startup —
 // jobs that were accepted but never finished are handed back for
 // re-enqueueing, completed results are restored to the job table, and
 // idempotency-key mappings survive so client retries across a crash
@@ -60,10 +60,10 @@ const journalMagic = "FPGAWAL1"
 // bytes; old segments are reclaimed by the next startup compaction.
 const journalSegMax = 64 << 20
 
-// Journal record kinds.
+// Journal record kinds. Replay skips any other kind, such as the
+// "start" records older journals hold.
 const (
 	recSubmit = "submit"
-	recStart  = "start"
 	recDone   = "done"
 )
 
@@ -104,7 +104,6 @@ type Journal struct {
 	f      *os.File
 	seq    int
 	size   int64
-	buf    []byte
 	killed bool
 }
 
@@ -286,7 +285,7 @@ func (j *Journal) startSegment(seq int, live []RecoveredJob) error {
 			req := rj.Req
 			rec = journalRecord{Kind: recSubmit, ID: rj.ID, Key: rj.Key, Req: &req, At: rj.SubmittedAt}
 		}
-		n, err := writeFrame(f, nil, rec)
+		n, err := writeFrame(f, rec)
 		if err != nil {
 			f.Close()
 			return err
@@ -312,17 +311,13 @@ func (j *Journal) startSegment(seq int, live []RecoveredJob) error {
 }
 
 // writeFrame appends one CRC-framed record and returns the bytes
-// written. scratch (may be nil) is reused for the frame header.
-func writeFrame(w io.Writer, scratch []byte, rec journalRecord) (int64, error) {
+// written.
+func writeFrame(w io.Writer, rec journalRecord) (int64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return 0, fmt.Errorf("journal: %w", err)
 	}
-	hdr := scratch
-	if cap(hdr) < 8 {
-		hdr = make([]byte, 8)
-	}
-	hdr = hdr[:8]
+	hdr := make([]byte, 8)
 	binary.LittleEndian.PutUint32(hdr, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	if _, err := w.Write(hdr); err != nil {
@@ -334,12 +329,12 @@ func writeFrame(w io.Writer, scratch []byte, rec journalRecord) (int64, error) {
 	return int64(8 + len(payload)), nil
 }
 
-// append writes one record, optionally fsyncing before returning.
+// append writes one record and fsyncs it before returning.
 // After kill() or Close() it fails: nothing becomes durable once the
 // "process" has died, and an accept path that cannot make its record
-// durable must reject rather than acknowledge. (The advisory start and
-// done writers ignore append errors, so wind-down stays quiet.)
-func (j *Journal) append(rec journalRecord, fsync bool) error {
+// durable must reject rather than acknowledge. (The done writer
+// ignores append errors, so wind-down stays quiet.)
+func (j *Journal) append(rec journalRecord) error {
 	var fperr error
 	robust.Hit(robust.FPJournalAppend, rec.Kind, &fperr)
 	j.mu.Lock()
@@ -351,22 +346,20 @@ func (j *Journal) append(rec journalRecord, fsync bool) error {
 		j.reg.Counter(MetricJournalErrors).Inc()
 		return fmt.Errorf("journal: %w", fperr)
 	}
-	n, err := writeFrame(j.f, j.buf, rec)
+	n, err := writeFrame(j.f, rec)
 	if err != nil {
 		j.reg.Counter(MetricJournalErrors).Inc()
 		return err
 	}
 	j.size += n
 	j.reg.Counter(MetricJournalRecords).Inc()
-	if fsync {
-		robust.Hit(robust.FPJournalSync, rec.Kind)
-		span := j.reg.StartSpan(MetricJournalFsync)
-		err := j.f.Sync()
-		span.End()
-		if err != nil {
-			j.reg.Counter(MetricJournalErrors).Inc()
-			return fmt.Errorf("journal: %w", err)
-		}
+	robust.Hit(robust.FPJournalSync, rec.Kind)
+	span := j.reg.StartSpan(MetricJournalFsync)
+	err = j.f.Sync()
+	span.End()
+	if err != nil {
+		j.reg.Counter(MetricJournalErrors).Inc()
+		return fmt.Errorf("journal: %w", err)
 	}
 	if j.size > journalSegMax {
 		if err := j.rotateLocked(); err != nil {

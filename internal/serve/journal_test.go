@@ -47,16 +47,17 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(recovered) != 0 || maxID != 0 {
 		t.Fatalf("fresh journal recovered %d jobs, maxID %d", len(recovered), maxID)
 	}
-	if err := j.append(submitRec("j00000001", "k1"), true); err != nil {
+	if err := j.append(submitRec("j00000001", "k1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(journalRecord{Kind: recStart, ID: "j00000001", At: time.Now()}, false); err != nil {
+	// Older journals hold advisory "start" records; replay must skip them.
+	if err := j.append(journalRecord{Kind: "start", ID: "j00000001", At: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(submitRec("j00000002", ""), true); err != nil {
+	if err := j.append(submitRec("j00000002", "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(doneRec("j00000001", "k1", AnswerRoutable), true); err != nil {
+	if err := j.append(doneRec("j00000001", "k1", AnswerRoutable)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -101,10 +102,10 @@ func activeSegment(t *testing.T, dir string) string {
 func TestJournalTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	j, _, _ := openTestJournal(t, dir)
-	if err := j.append(submitRec("j00000001", ""), true); err != nil {
+	if err := j.append(submitRec("j00000001", "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(submitRec("j00000002", ""), true); err != nil {
+	if err := j.append(submitRec("j00000002", "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -138,10 +139,10 @@ func TestJournalTornTailTruncated(t *testing.T) {
 func TestJournalCRCCorruptionTruncated(t *testing.T) {
 	dir := t.TempDir()
 	j, _, _ := openTestJournal(t, dir)
-	if err := j.append(submitRec("j00000001", ""), true); err != nil {
+	if err := j.append(submitRec("j00000001", "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(submitRec("j00000002", ""), true); err != nil {
+	if err := j.append(submitRec("j00000002", "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -181,13 +182,13 @@ func TestJournalCRCCorruptionTruncated(t *testing.T) {
 func TestJournalCompactionIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	j, _, _ := openTestJournal(t, dir)
-	if err := j.append(submitRec("j00000001", "k1"), true); err != nil {
+	if err := j.append(submitRec("j00000001", "k1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(doneRec("j00000001", "k1", AnswerUnroutable), true); err != nil {
+	if err := j.append(doneRec("j00000001", "k1", AnswerUnroutable)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(submitRec("j00000002", ""), true); err != nil {
+	if err := j.append(submitRec("j00000002", "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -228,11 +229,11 @@ func TestJournalCompactionIdempotent(t *testing.T) {
 func TestJournalKillDropsSubsequentAppends(t *testing.T) {
 	dir := t.TempDir()
 	j, _, _ := openTestJournal(t, dir)
-	if err := j.append(submitRec("j00000001", ""), true); err != nil {
+	if err := j.append(submitRec("j00000001", "")); err != nil {
 		t.Fatal(err)
 	}
 	j.kill()
-	if err := j.append(doneRec("j00000001", "", AnswerRoutable), true); err == nil {
+	if err := j.append(doneRec("j00000001", "", AnswerRoutable)); err == nil {
 		t.Fatal("post-kill append must fail; a dead journal cannot make records durable")
 	}
 	if err := j.Close(); err != nil {
@@ -256,10 +257,10 @@ func TestJournalRotation(t *testing.T) {
 	j.mu.Lock()
 	j.size = journalSegMax
 	j.mu.Unlock()
-	if err := j.append(submitRec("j00000001", ""), true); err != nil {
+	if err := j.append(submitRec("j00000001", "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(submitRec("j00000002", ""), true); err != nil {
+	if err := j.append(submitRec("j00000002", "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

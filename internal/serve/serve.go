@@ -289,41 +289,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// shard is one size class: two bounded admission queues (interactive
-// drained before batch) behind atomic reservation counters, the
-// sat.Pool the workers draw solvers from, the shard's service-time
-// statistics and its circuit breaker.
+// shard is one size class: its admission queue, the sat.Pool the
+// workers draw solvers from, the shard's service-time statistics and
+// its circuit breaker.
 type shard struct {
-	cfg ShardConfig
-	// qi/qb are the interactive and batch queues; ni/nb count reserved
-	// slots (reservation precedes the channel send so the journal can
-	// be written between admission and publication without a full-queue
-	// surprise after the fsync).
-	qi, qb chan *Job
-	ni, nb atomic.Int64
-	pool   sat.Pool
-	busy   atomic.Int64
-	adm    admission
-	brk    *breaker
-}
-
-// queued returns the shard's total reserved backlog across both
-// classes.
-func (sh *shard) queued() int { return int(sh.ni.Load() + sh.nb.Load()) }
-
-// reserve claims a queue slot in the given class, returning the
-// reservation counter to release on failure, or nil when the class
-// queue is full.
-func (sh *shard) reserve(priority string) *atomic.Int64 {
-	n, depth := &sh.ni, cap(sh.qi)
-	if priority == PriorityBatch {
-		n, depth = &sh.nb, cap(sh.qb)
-	}
-	if n.Add(1) > int64(depth) {
-		n.Add(-1)
-		return nil
-	}
-	return n
+	cfg   ShardConfig
+	queue *jobQueue
+	pool  sat.Pool
+	busy  atomic.Int64
+	adm   admission
+	brk   *breaker
 }
 
 // Server is the serving core: shards, workers, the job table and its
@@ -335,8 +310,8 @@ type Server struct {
 	shards []*shard
 
 	// admit serializes submits against the drain transition: Submit
-	// holds the read side while it checks the draining flag and sends
-	// on a shard queue, so Drain's queue close can never race a send.
+	// holds the read side from the draining check to the push, so
+	// Drain's queue close never meets a reserved slot.
 	admit    sync.RWMutex
 	draining bool
 
@@ -411,11 +386,7 @@ func NewServer(opts Options) (*Server, error) {
 		jobs:       jobTable{byID: map[string]*Job{}, byKey: map[string]*Job{}},
 	}
 	for i, sc := range shards {
-		sh := &shard{
-			cfg: sc,
-			qi:  make(chan *Job, sc.QueueDepth),
-			qb:  make(chan *Job, sc.QueueDepth),
-		}
+		sh := &shard{cfg: sc, queue: newJobQueue(sc.QueueDepth)}
 		if opts.BreakerThreshold > 0 {
 			name := sc.Name
 			sh.brk = newBreaker(opts.BreakerThreshold, opts.BreakerBackoff, opts.BreakerMaxBackoff,
@@ -432,8 +403,7 @@ func NewServer(opts Options) (*Server, error) {
 
 	// Replay the journal before any worker starts, so restored results
 	// are visible in the job table from the first request and recovered
-	// pending jobs keep their submission order.
-	var pending []*Job
+	// pending jobs are queued in submission order.
 	if opts.JournalDir != "" {
 		journal, recovered, maxID, err := OpenJournal(opts.JournalDir, s.reg)
 		if err != nil {
@@ -442,7 +412,7 @@ func NewServer(opts Options) (*Server, error) {
 		}
 		s.journal = journal
 		s.idSeq.Store(maxID)
-		pending = s.restoreRecovered(recovered)
+		s.restoreRecovered(recovered)
 	}
 
 	for _, sh := range s.shards {
@@ -451,9 +421,6 @@ func NewServer(opts Options) (*Server, error) {
 			go s.worker(sh)
 		}
 	}
-	if len(pending) > 0 {
-		go s.requeueRecovered(pending)
-	}
 	go s.janitor()
 	return s, nil
 }
@@ -461,11 +428,10 @@ func NewServer(opts Options) (*Server, error) {
 // restoreRecovered folds the journal's replayed jobs into the server:
 // completed results go straight into the job table (idempotency keys
 // included), accepted-but-unfinished jobs are rebuilt from their
-// journaled requests and returned for re-enqueueing. A pending job
-// whose request no longer resolves (e.g. an instance that left the
-// registry) completes as failed rather than vanishing.
-func (s *Server) restoreRecovered(recovered []RecoveredJob) []*Job {
-	var pending []*Job
+// journaled requests and queued. A pending job whose request no longer
+// resolves (e.g. an instance that left the registry) completes as
+// failed rather than vanishing.
+func (s *Server) restoreRecovered(recovered []RecoveredJob) {
 	for _, rj := range recovered {
 		if rj.View != nil {
 			s.jobs.addOrGet(finishedJob(rj.ID, rj.Key, *rj.View, rj.FinishedAt), s.opts.MaxJobs)
@@ -485,9 +451,8 @@ func (s *Server) restoreRecovered(recovered []RecoveredJob) []*Job {
 		}
 		s.jobs.addOrGet(job, s.opts.MaxJobs)
 		s.reg.Counter(MetricJournalRecovered).Inc()
-		pending = append(pending, job)
+		s.classify(job.view.Vertices).queue.push(job, false)
 	}
-	return pending
 }
 
 // finishedJob builds a job that is already done with the given view,
@@ -545,30 +510,6 @@ func (s *Server) newJob(id, key string, req *SolveRequest) (*Job, error) {
 		DeadlineMS:  deadline.Milliseconds(),
 	}
 	return job, nil
-}
-
-// requeueRecovered feeds the recovered pending jobs back into their
-// shard queues. Sends block when a queue is momentarily full (the
-// workers are already draining), and each send holds the admission
-// read lock so it can never race a drain's queue close; a drain that
-// begins mid-recovery strands the remainder in the journal, where the
-// next startup recovers them again.
-func (s *Server) requeueRecovered(pending []*Job) {
-	for _, job := range pending {
-		sh := s.classify(job.view.Vertices)
-		q, n := sh.qi, &sh.ni
-		if job.priority == PriorityBatch {
-			q, n = sh.qb, &sh.nb
-		}
-		s.admit.RLock()
-		if s.draining {
-			s.admit.RUnlock()
-			return
-		}
-		n.Add(1)
-		q <- job
-		s.admit.RUnlock()
-	}
 }
 
 // effectiveDeadline applies the server's default and clamp to a
@@ -637,13 +578,14 @@ func (s *Server) preregisterMetrics() {
 func (s *Server) Scrape() obs.Snapshot {
 	for _, sh := range s.shards {
 		suffix := "." + sh.cfg.Name
-		s.reg.Gauge(MetricQueueDepth + suffix).Set(int64(sh.queued()))
-		s.reg.Gauge(MetricQueueBatch + suffix).Set(sh.nb.Load())
+		interactive, batch := sh.queue.backlog()
+		s.reg.Gauge(MetricQueueDepth + suffix).Set(int64(interactive + batch))
+		s.reg.Gauge(MetricQueueBatch + suffix).Set(int64(batch))
 		s.reg.Gauge(MetricWorkersBusy + suffix).Set(sh.busy.Load())
 		ps := sh.pool.Stats()
 		s.reg.Gauge(MetricPoolGets + suffix).Set(ps.Gets)
 		s.reg.Gauge(MetricPoolReuses + suffix).Set(ps.Reuses)
-		ra := sh.adm.retryAfter(sh.queued(), int(sh.busy.Load()), sh.cfg.Workers)
+		ra := sh.adm.retryAfter(interactive+batch, int(sh.busy.Load()), sh.cfg.Workers)
 		s.reg.Gauge(MetricRetryAfter + suffix).Set(int64(retryAfterSeconds(ra)))
 	}
 	s.reg.Gauge(MetricJobsRetained).Set(int64(s.jobs.len()))
@@ -691,17 +633,11 @@ func (s *Server) resolveInstance(name string) (instanceEntry, error) {
 // it into a shard and enqueues it. It returns the registered job on
 // success; *QueueFullError (errors.Is ErrQueueFull), ErrDraining,
 // *BreakerOpenError, ErrJournal and *RequestError are the documented
-// failure modes.
-func (s *Server) Submit(req SolveRequest) (*Job, error) {
-	job, _, err := s.SubmitDedup(req)
-	return job, err
-}
-
-// SubmitDedup is Submit plus idempotency: when the request carries an
-// IdempotencyKey already bound to a retained job, that job is returned
-// with duplicate=true and nothing new is admitted — the client retry
-// contract across crashes and timeouts.
-func (s *Server) SubmitDedup(req SolveRequest) (job *Job, duplicate bool, err error) {
+// failure modes. When the request carries an IdempotencyKey already
+// bound to a retained job, that job is returned with duplicate=true
+// and nothing new is admitted — the client retry contract across
+// crashes and timeouts.
+func (s *Server) Submit(req SolveRequest) (job *Job, duplicate bool, err error) {
 	job, err = s.newJob("", req.IdempotencyKey, &req)
 	if err != nil {
 		return nil, false, err
@@ -736,11 +672,11 @@ func (s *Server) SubmitDedup(req SolveRequest) (job *Job, duplicate bool, err er
 	// Reserve the queue slot before the durable accept: a full queue
 	// must be discovered while no journal record exists, so rejected
 	// submits can never reappear as replayed jobs.
-	slot := sh.reserve(job.priority)
-	if slot == nil {
+	if !sh.queue.reserve(job.priority) {
 		releaseProbe()
 		s.reg.Counter(MetricJobsRejected).Inc()
-		retry := sh.adm.retryAfter(sh.queued(), int(sh.busy.Load()), sh.cfg.Workers)
+		interactive, batch := sh.queue.backlog()
+		retry := sh.adm.retryAfter(interactive+batch, int(sh.busy.Load()), sh.cfg.Workers)
 		return nil, false, &QueueFullError{Shard: sh.cfg.Name, RetryAfter: retry}
 	}
 	job.ID = fmt.Sprintf("j%08d", s.idSeq.Add(1))
@@ -749,7 +685,7 @@ func (s *Server) SubmitDedup(req SolveRequest) (job *Job, duplicate bool, err er
 	if exist, dup := s.jobs.addOrGet(job, s.opts.MaxJobs); dup {
 		// Two submits raced the same fresh idempotency key; the loser
 		// backs out and returns the winner.
-		slot.Add(-1)
+		sh.queue.release(job.priority)
 		releaseProbe()
 		return exist, true, nil
 	}
@@ -757,16 +693,12 @@ func (s *Server) SubmitDedup(req SolveRequest) (job *Job, duplicate bool, err er
 	// published to a worker or the caller — once Submit returns, a
 	// crash cannot lose the job.
 	if jerr := s.journalSubmit(job, &req, job.view.SubmittedAt); jerr != nil {
-		slot.Add(-1)
+		sh.queue.release(job.priority)
 		releaseProbe()
 		s.jobs.remove(job)
 		return nil, false, jerr
 	}
-	q := sh.qi
-	if job.priority == PriorityBatch {
-		q = sh.qb
-	}
-	q <- job // cannot block: the slot reservation guarantees room
+	sh.queue.push(job, true)
 	s.reg.Counter(MetricJobsSubmitted).Inc()
 	return job, false, nil
 }
@@ -778,19 +710,10 @@ func (s *Server) journalSubmit(job *Job, req *SolveRequest, at time.Time) error 
 		return nil
 	}
 	rec := journalRecord{Kind: recSubmit, ID: job.ID, Key: job.key, Req: req, At: at}
-	if err := s.journal.append(rec, true); err != nil {
+	if err := s.journal.append(rec); err != nil {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 	return nil
-}
-
-// journalStart records that a worker picked the job up (advisory — no
-// fsync; replay treats started and queued jobs identically).
-func (s *Server) journalStart(job *Job) {
-	if s.journal == nil {
-		return
-	}
-	_ = s.journal.append(journalRecord{Kind: recStart, ID: job.ID, At: time.Now()}, false)
 }
 
 // journalDone durably records a completed job's result so a restart
@@ -800,7 +723,7 @@ func (s *Server) journalDone(job *Job, view JobView) {
 		return
 	}
 	rec := journalRecord{Kind: recDone, ID: job.ID, Key: job.key, View: &view, At: time.Now()}
-	_ = s.journal.append(rec, true)
+	_ = s.journal.append(rec)
 }
 
 // validateKnobs bounds-checks every numeric solve knob before any
@@ -933,138 +856,65 @@ func (s *Server) Lookup(id string) (*Job, bool) { return s.jobs.get(id) }
 // JobCount returns the number of jobs currently retained in the table.
 func (s *Server) JobCount() int { return s.jobs.len() }
 
-// worker drains one shard's queues — interactive strictly before
-// batch — until Drain closes them. Each job runs under the server's
-// base context capped by the job deadline; the solve itself is
-// supervised by portfolio.Run, and the worker loop itself is a
-// panic boundary: a crash in the serve layer fails the one job (and
-// feeds the shard's breaker) instead of killing the process.
+// worker pops one shard's jobs — interactive strictly before batch —
+// until Drain closes the queue and it is empty. Each job runs under the
+// server's base context capped by the job deadline; the solve itself is
+// supervised by portfolio.Run, and the worker loop itself is a panic
+// boundary: a crash in the serve layer fails the one job (and feeds the
+// shard's breaker) instead of killing the process.
 func (s *Server) worker(sh *shard) {
 	defer s.workers.Done()
-	qi, qb := sh.qi, sh.qb
-	for qi != nil || qb != nil {
-		var job *Job
-		var ok bool
-		var fromBatch bool
-		// Interactive first: only when no interactive job is waiting may
-		// a batch job be picked up.
-		if qi != nil {
-			select {
-			case job, ok = <-qi:
-				if !ok {
-					qi = nil
-					continue
-				}
-			default:
-			}
-		}
-		if job == nil {
-			switch {
-			case qi != nil && qb != nil:
-				select {
-				case job, ok = <-qi:
-					if !ok {
-						qi = nil
-						continue
-					}
-				case job, ok = <-qb:
-					if !ok {
-						qb = nil
-						continue
-					}
-					fromBatch = true
-				}
-			case qi != nil:
-				if job, ok = <-qi; !ok {
-					qi = nil
-					continue
-				}
-			default:
-				if job, ok = <-qb; !ok {
-					qb = nil
-					continue
-				}
-				fromBatch = true
-			}
-		}
-		if fromBatch {
-			sh.nb.Add(-1)
-		} else {
-			sh.ni.Add(-1)
+	for {
+		job, ok := sh.queue.pop()
+		if !ok {
+			return
 		}
 		robust.Hit(robust.FPServeDequeue, sh.cfg.Name)
 		sh.busy.Add(1)
-		s.superviseJob(sh, job)
+		if perr := robust.Capture("serve worker "+sh.cfg.Name, func() { s.runJob(sh, job) }); perr != nil {
+			s.finish(sh, job, true, func(v *JobView) {
+				s.reg.Counter(MetricJobsFailed).Inc()
+				v.Answer = AnswerUndecided
+				v.Error = perr.Error()
+			})
+		}
 		sh.busy.Add(-1)
 	}
 }
 
-// superviseJob runs one job under a panic boundary. A panic in the
-// serve layer itself (not in a solver lane — those have their own
-// supervision) fails the job, journals the failure and counts as a
-// supervision failure for the shard's breaker.
-func (s *Server) superviseJob(sh *shard, job *Job) {
-	perr := robust.Capture("serve worker "+sh.cfg.Name, func() {
-		s.runJob(sh, job)
-	})
-	if perr == nil {
+// finish completes a job exactly once: the worker's panic boundary can
+// call it for a job whose own ending already did. The call that makes
+// the transition applies mutate to the view (mutate counts the ending's
+// own metrics), publishes the job, journals its result and feeds the
+// shard's breaker — failure reports a supervision failure, and a shed
+// job, which never ran, only releases its probe claim. Every later
+// call is a no-op.
+func (s *Server) finish(sh *shard, job *Job, failure bool, mutate func(v *JobView)) {
+	job.mu.Lock()
+	if job.view.State == StateDone {
+		job.mu.Unlock()
 		return
 	}
-	s.reg.Counter(MetricJobsFailed).Inc()
-	view := s.finishJob(job, func(v *JobView) {
-		v.Answer = AnswerUndecided
-		v.Error = perr.Error()
-	})
-	s.journalDone(job, view)
-	s.breakerResult(sh, job, true)
-}
+	job.view.State = StateDone
+	mutate(&job.view)
+	job.finished = time.Now()
+	s.reg.Counter(MetricJobsCompleted).Inc()
+	close(job.done)
+	view := job.view
+	job.mu.Unlock()
 
-// breakerResult feeds a job outcome into the shard's breaker.
-func (s *Server) breakerResult(sh *shard, job *Job, failure bool) {
-	if sh.brk != nil {
+	s.journalDone(job, view)
+	switch {
+	case sh.brk == nil:
+	case view.Shed:
+		// Shedding is overload, not poison: the breaker learns nothing,
+		// and a shed probe releases its claim so the next submit probes.
+		if job.probe {
+			sh.brk.releaseProbe()
+		}
+	default:
 		sh.brk.onResult(failure, job.probe)
 	}
-}
-
-// shedJob rejects a job at dequeue time: it completes immediately as
-// UNDECIDED with Shed set instead of occupying a solver. reason is
-// "sojourn" (sat queued past the target) or "deadline" (its own
-// deadline had already expired).
-func (s *Server) shedJob(sh *shard, job *Job, queued time.Duration, reason string) {
-	if reason == "sojourn" {
-		s.reg.Counter(MetricShedSojourn).Inc()
-	} else {
-		s.reg.Counter(MetricShedDeadline).Inc()
-	}
-	view := s.finishJob(job, func(v *JobView) {
-		v.Answer = AnswerUndecided
-		v.Shed = true
-		v.QueuedMS = queued.Milliseconds()
-		v.Error = fmt.Sprintf("serve: shed at dequeue (%s): queued %v", reason, queued.Round(time.Millisecond))
-	})
-	s.journalDone(job, view)
-	// Shedding is overload, not poison: the breaker learns nothing, and
-	// a shed probe releases its claim so the next submit probes instead.
-	if job.probe && sh.brk != nil {
-		sh.brk.releaseProbe()
-	}
-}
-
-// finishJob transitions a job to done exactly once (workers, the shed
-// path and the panic boundary can race on a crashing worker), applies
-// mutate to the view and closes the done channel. It returns the final
-// view for journaling.
-func (s *Server) finishJob(job *Job, mutate func(v *JobView)) JobView {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	if job.view.State != StateDone {
-		job.view.State = StateDone
-		mutate(&job.view)
-		job.finished = time.Now()
-		s.reg.Counter(MetricJobsCompleted).Inc()
-		close(job.done)
-	}
-	return job.view
 }
 
 // runJob executes one job end to end and publishes its result.
@@ -1077,12 +927,21 @@ func (s *Server) runJob(sh *shard, job *Job) {
 
 	// CoDel-style early rejection: a job that would be solved late is
 	// cheaper to shed now than to solve for nobody.
-	if !job.deadline.IsZero() && started.After(job.deadline) {
-		s.shedJob(sh, job, queued, "deadline")
-		return
+	var reason, counter string
+	switch {
+	case !job.deadline.IsZero() && started.After(job.deadline):
+		reason, counter = "deadline", MetricShedDeadline
+	case s.opts.SojournTarget > 0 && queued > s.opts.SojournTarget:
+		reason, counter = "sojourn", MetricShedSojourn
 	}
-	if s.opts.SojournTarget > 0 && queued > s.opts.SojournTarget {
-		s.shedJob(sh, job, queued, "sojourn")
+	if reason != "" {
+		s.finish(sh, job, false, func(v *JobView) {
+			s.reg.Counter(counter).Inc()
+			v.Answer = AnswerUndecided
+			v.Shed = true
+			v.QueuedMS = queued.Milliseconds()
+			v.Error = fmt.Sprintf("serve: shed at dequeue (%s): queued %v", reason, queued.Round(time.Millisecond))
+		})
 		return
 	}
 
@@ -1091,7 +950,6 @@ func (s *Server) runJob(sh *shard, job *Job) {
 	job.view.QueuedMS = queued.Milliseconds()
 	job.mu.Unlock()
 	robust.Hit(robust.FPServeWorker, job.ID, sh.cfg.Name)
-	s.journalStart(job)
 
 	ctx, cancel := context.WithDeadline(s.baseCtx, job.deadline)
 	popts := job.popts
@@ -1103,7 +961,7 @@ func (s *Server) runJob(sh *shard, job *Job) {
 	cancel()
 	sh.adm.observe(elapsed)
 
-	view := s.finishJob(job, func(v *JobView) {
+	s.finish(sh, job, supervisionFailure(err, all), func(v *JobView) {
 		v.SolveMS = elapsed.Milliseconds()
 		v.Lanes = laneViews(all)
 		switch {
@@ -1132,8 +990,6 @@ func (s *Server) runJob(sh *shard, job *Job) {
 			}
 		}
 	})
-	s.journalDone(job, view)
-	s.breakerResult(sh, job, supervisionFailure(err, all))
 }
 
 // supervisionFailure classifies a finished run for the circuit
@@ -1222,8 +1078,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining {
 		s.draining = true
 		for _, sh := range s.shards {
-			close(sh.qi)
-			close(sh.qb)
+			sh.queue.close()
 		}
 		close(s.stopGC)
 	}
@@ -1287,11 +1142,12 @@ func (s *Server) Readiness() (bool, []ShardStatus) {
 	shards := make([]ShardStatus, 0, len(s.shards))
 	anyReady := false
 	for _, sh := range s.shards {
+		interactive, _ := sh.queue.backlog()
 		st := ShardStatus{
 			Name:    sh.cfg.Name,
 			Breaker: "disabled",
-			Queued:  int(sh.ni.Load()),
-			Cap:     cap(sh.qi),
+			Queued:  interactive,
+			Cap:     sh.cfg.QueueDepth,
 		}
 		open := false
 		if sh.brk != nil {

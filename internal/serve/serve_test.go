@@ -101,7 +101,7 @@ func TestSubmitValidation(t *testing.T) {
 		"negative deadline":       {Graph: triangleCol, Width: 3, DeadlineMS: -1},
 		"negative lane timeout":   {Graph: triangleCol, Width: 3, LaneTimeoutMS: -1},
 	} {
-		if _, err := s.Submit(req); err == nil {
+		if _, _, err := s.Submit(req); err == nil {
 			t.Errorf("%s: Submit accepted an invalid request", name)
 		} else if _, ok := err.(*RequestError); !ok {
 			t.Errorf("%s: error %v is not a *RequestError", name, err)
@@ -111,7 +111,7 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestSolveInlineGraph(t *testing.T) {
 	s := newTestServer(t, Options{})
-	job, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3, WantColors: true, Verify: true})
+	job, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3, WantColors: true, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSolveInlineGraph(t *testing.T) {
 		t.Errorf("winner %q attempts %d: incomplete result", v.Winner, v.Attempts)
 	}
 
-	job, err = s.Submit(SolveRequest{Graph: triangleCol, Width: 2, Verify: true})
+	job, _, err = s.Submit(SolveRequest{Graph: triangleCol, Width: 2, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestQueueFullRejects(t *testing.T) {
 		releaseAll()
 	})
 
-	running, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
+	running, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestQueueFullRejects(t *testing.T) {
 	for running.View().State != StateRunning {
 		time.Sleep(time.Millisecond)
 	}
-	queued, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
+	queued, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3}); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit returned %v, want ErrQueueFull", err)
 	} else {
 		var qf *QueueFullError
@@ -180,13 +180,95 @@ func TestQueueFullRejects(t *testing.T) {
 	waitDone(t, queued)
 }
 
+// TestQueueClassOrderAndCapacity pins the shard queue's class policy:
+// with the one worker held, interactive jobs submitted after batch jobs
+// still run first, each class runs in submission order, and a full
+// class rejects only its own submits.
+func TestQueueClassOrderAndCapacity(t *testing.T) {
+	s := newTestServer(t, Options{Shards: []ShardConfig{
+		{Name: "only", MaxVertices: 0, Workers: 1, QueueDepth: 2},
+	}})
+	release := make(chan struct{})
+	var once sync.Once
+	releaseAll := func() { once.Do(func() { close(release) }) }
+	var mu sync.Mutex
+	var ran []string
+	robust.SetFailpoint(robust.FPServeWorker, func(args ...any) {
+		mu.Lock()
+		ran = append(ran, args[0].(string))
+		mu.Unlock()
+		<-release
+	})
+	t.Cleanup(func() {
+		robust.ClearFailpoint(robust.FPServeWorker)
+		releaseAll()
+	})
+	submit := func(priority string) (*Job, error) {
+		j, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3, Priority: priority})
+		return j, err
+	}
+	mustSubmit := func(priority string) *Job {
+		t.Helper()
+		j, err := submit(priority)
+		if err != nil {
+			t.Fatalf("%s submit: %v", priority, err)
+		}
+		return j
+	}
+
+	held := mustSubmit(PriorityInteractive)
+	for held.View().State != StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	b1, b2 := mustSubmit(PriorityBatch), mustSubmit(PriorityBatch)
+	if _, err := submit(PriorityBatch); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("batch submit into a full batch class returned %v, want ErrQueueFull", err)
+	}
+	i1, i2 := mustSubmit(PriorityInteractive), mustSubmit(PriorityInteractive)
+	if _, err := submit(PriorityInteractive); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("interactive submit into a full interactive class returned %v, want ErrQueueFull", err)
+	}
+	if got := s.reg.Counter(MetricJobsRejected).Value(); got != 2 {
+		t.Errorf("%s = %d, want 2", MetricJobsRejected, got)
+	}
+	snap := s.Scrape()
+	if got := snap.Gauges[MetricQueueDepth+".only"]; got != 4 {
+		t.Errorf("%s.only = %d, want 4", MetricQueueDepth, got)
+	}
+	if got := snap.Gauges[MetricQueueBatch+".only"]; got != 2 {
+		t.Errorf("%s.only = %d, want 2", MetricQueueBatch, got)
+	}
+	if ready, shards := s.Readiness(); ready || shards[0].Queued != 2 || shards[0].Cap != 2 {
+		t.Errorf("readiness with a full interactive class: ready %v, shards %+v", ready, shards)
+	}
+
+	releaseAll()
+	want := []*Job{held, i1, i2, b1, b2}
+	for _, j := range want {
+		if v := waitDone(t, j); v.Answer != AnswerRoutable {
+			t.Errorf("job %s: answer %s, want ROUTABLE", j.ID, v.Answer)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != len(want) {
+		t.Fatalf("worker ran %v, want %d jobs", ran, len(want))
+	}
+	for i, j := range want {
+		if ran[i] != j.ID {
+			t.Fatalf("worker ran %v, want held, interactive, then batch: %s %s %s %s %s",
+				ran, held.ID, i1.ID, i2.ID, b1.ID, b2.ID)
+		}
+	}
+}
+
 func TestDrainFinishesInFlightJobsAndStopsAdmission(t *testing.T) {
 	s := newTestServer(t, Options{Shards: []ShardConfig{
 		{Name: "only", MaxVertices: 0, Workers: 2, QueueDepth: 16},
 	}})
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
-		j, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
+		j, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +288,7 @@ func TestDrainFinishesInFlightJobsAndStopsAdmission(t *testing.T) {
 	if !s.Draining() {
 		t.Error("Draining() = false after Drain")
 	}
-	if _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3}); err != ErrDraining {
+	if _, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3}); err != ErrDraining {
 		t.Errorf("submit after drain returned %v, want ErrDraining", err)
 	}
 	// Idempotent: a second drain returns immediately.
@@ -222,7 +304,7 @@ func TestDrainTimeoutCancelsInFlightSolves(t *testing.T) {
 	// A pigeonhole refutation (K18 at 17 colors, no symmetry breaking)
 	// cannot finish inside the drain window; the solver stays busy
 	// until the expired drain cancels it.
-	job, err := s.Submit(SolveRequest{Graph: cliqueDIMACS(18), Width: 17, Strategy: "log", DeadlineMS: 120_000})
+	job, _, err := s.Submit(SolveRequest{Graph: cliqueDIMACS(18), Width: 17, Strategy: "log", DeadlineMS: 120_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +343,7 @@ func TestJobGC(t *testing.T) {
 		RetainJobs: 10 * time.Millisecond,
 		GCInterval: 5 * time.Millisecond,
 	})
-	job, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
+	job, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +364,7 @@ func TestJobTableCapEvictsOldestDone(t *testing.T) {
 	s := newTestServer(t, Options{MaxJobs: 2})
 	var ids []string
 	for i := 0; i < 4; i++ {
-		j, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
+		j, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +389,7 @@ func TestDeadlineMapsToUndecidedWithAttempts(t *testing.T) {
 	robust.SetFailpoint(robust.FPPortfolioLane, func(args ...any) { time.Sleep(150 * time.Millisecond) })
 	t.Cleanup(func() { robust.ClearFailpoint(robust.FPPortfolioLane) })
 
-	job, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3, DeadlineMS: 30})
+	job, _, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3, DeadlineMS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
