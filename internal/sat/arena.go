@@ -19,11 +19,37 @@ import "math"
 // reduceDB compacts the arena once the dead fraction passes a
 // threshold, relocating live clauses and patching watch lists and
 // reason references through forwarding words.
+//
+// Only clauses of three or more literals live here. A binary clause
+// (a ∨ b) is two implication-list entries, b in Solver.bins[a] and a in
+// Solver.bins[b], and a reason or conflict on it is a tagged ClauseRef:
+// the top bit set, the clause's other literal in the low 31 bits. Arena
+// offsets therefore stay below 2^31 (alloc panics past that), and
+// propagation, conflict analysis and compaction never read the arena
+// for a binary clause.
 type ClauseRef = uint32
 
 // RefUndef is the null clause reference ("no clause"), the arena
 // analogue of a nil *clause.
 const RefUndef ClauseRef = ^ClauseRef(0)
+
+// refBin tags a ClauseRef that names a binary clause by its other
+// literal instead of an arena offset. RefUndef has the tag bit set too;
+// it would name the literal 2^31-1, which NewVar's variable limit keeps
+// out of the solver, so a tagged ref never equals RefUndef.
+const refBin ClauseRef = 1 << 31
+
+// binRef is the tagged reference to a binary clause whose other literal
+// is l: the reason of a literal implied through the clause, or a
+// conflict on it.
+func binRef(l Lit) ClauseRef { return refBin | ClauseRef(l) }
+
+// isBinRef reports whether r, a reference other than RefUndef, names a
+// binary clause.
+func isBinRef(r ClauseRef) bool { return r&refBin != 0 }
+
+// binLit returns the literal held by a binary-clause reference.
+func binLit(r ClauseRef) Lit { return Lit(r &^ refBin) }
 
 // Header word layout.
 const (
@@ -58,6 +84,10 @@ func (ca *clauseArena) reset() {
 func (ca *clauseArena) alloc(lits []Lit, learnt bool, lbd int32) ClauseRef {
 	if len(lits) > hdrSizeMask {
 		panic("sat: clause exceeds arena size limit")
+	}
+	// Header words included, the clause must end below the tag bit.
+	if int64(len(ca.data))+2+int64(len(lits)) > int64(refBin) {
+		panic("sat: clause arena exceeds 2^31 words")
 	}
 	r := ClauseRef(len(ca.data))
 	hdr := uint32(len(lits))
@@ -145,7 +175,8 @@ func (ca *clauseArena) forward(r ClauseRef) ClauseRef { return ca.data[r] }
 // garbageCollect compacts the arena: live clauses (exactly the members
 // of s.clauses and s.learnts — reason clauses are always locked and
 // therefore live) are relocated into a fresh arena and every watch and
-// reason reference is patched through the forwarding words.
+// arena reason reference is patched through the forwarding words.
+// Binary reasons hold a literal, not an offset, and stay as they are.
 func (s *Solver) garbageCollect() {
 	ca := &s.ca
 	dst := make([]uint32, 0, len(ca.data)-ca.wasted)
@@ -162,7 +193,7 @@ func (s *Solver) garbageCollect() {
 		}
 	}
 	for v := range s.reason {
-		if r := s.reason[v]; r != RefUndef {
+		if r := s.reason[v]; r != RefUndef && !isBinRef(r) {
 			s.reason[v] = ca.forward(r)
 		}
 	}
@@ -179,11 +210,13 @@ type ArenaStats struct {
 	// capacity, WastedWords the garbage portion awaiting compaction.
 	Words, CapWords, WastedWords int
 	// WatchCapWords is the total backing capacity of the per-literal
-	// watch lists in 4-byte words (a watch entry is two words). Together
-	// with CapWords it approximates the memory a pooled solver retains
-	// for its next use — the quantity Pool.MaxRetainedWords caps.
+	// watch and binary implication lists in 4-byte words: a watch entry
+	// is two words, a binary entry one. Together with CapWords it
+	// approximates the memory a pooled solver retains for its next use —
+	// the quantity Pool.MaxRetainedWords caps.
 	WatchCapWords int
-	// Clauses and Learnts count the live problem and learnt clauses.
+	// Clauses and Learnts count the live problem and learnt clauses,
+	// binary ones included (NumClauses and NumLearnts).
 	Clauses, Learnts int
 	// Collections and FreedWords count compactions and reclaimed words
 	// since the solver was created or last Reset.
@@ -194,15 +227,15 @@ type ArenaStats struct {
 func (s *Solver) ArenaStats() ArenaStats {
 	watchCap := 0
 	for i := range s.watches {
-		watchCap += cap(s.watches[i]) * 2
+		watchCap += cap(s.watches[i])*2 + cap(s.bins[i])
 	}
 	return ArenaStats{
 		Words:         len(s.ca.data),
 		CapWords:      cap(s.ca.data),
 		WastedWords:   s.ca.wasted,
 		WatchCapWords: watchCap,
-		Clauses:       len(s.clauses),
-		Learnts:       len(s.learnts),
+		Clauses:       s.NumClauses(),
+		Learnts:       s.NumLearnts(),
 		Collections:   s.ca.collections,
 		FreedWords:    s.ca.freedWords,
 	}

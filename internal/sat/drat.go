@@ -67,14 +67,15 @@ func (p *proofLogger) flush() error {
 // independent of Solver so the certificate check does not trust the
 // code being certified.
 type checker struct {
-	numVars int
 	clauses map[int]*chkClause // id -> clause
 	nextID  int
-	// occur[lit] lists clause ids containing the literal (simple
-	// occurrence propagation; proofs of the sizes we produce check in
-	// well under a second).
-	occur   map[int][]int
-	assigns map[int]bool // literal -> true when asserted
+	// occur[lit] lists the ids of the clauses containing lit, so
+	// propagation revisits a clause only when one of its literals
+	// becomes false. units lists the clauses with at most one distinct
+	// literal, which propagate before anything is assigned. Deletion
+	// leaves stale ids in both; rup drops them as it meets them.
+	occur map[int][]int
+	units []int
 }
 
 type chkClause struct {
@@ -99,10 +100,8 @@ func clauseKey(lits []int) string {
 
 func newChecker(cnf *CNF) *checker {
 	c := &checker{
-		numVars: cnf.NumVars,
 		clauses: map[int]*chkClause{},
 		occur:   map[int][]int{},
-		assigns: map[int]bool{},
 	}
 	for _, cl := range cnf.Clauses {
 		c.add(cl)
@@ -115,8 +114,13 @@ func (c *checker) add(lits []int) int {
 	c.nextID++
 	cl := &chkClause{lits: append([]int(nil), lits...), key: clauseKey(lits)}
 	c.clauses[id] = cl
+	unit := true
 	for _, l := range lits {
 		c.occur[l] = append(c.occur[l], id)
+		unit = unit && l == lits[0]
+	}
+	if unit {
+		c.units = append(c.units, id)
 	}
 	return id
 }
@@ -139,6 +143,7 @@ func (c *checker) removeByKey(lits []int) bool {
 // under unit propagation over the current database.
 func (c *checker) rup(lits []int) bool {
 	assign := map[int]int8{} // var -> +1/-1
+	var queue []int          // literals made true, not yet propagated
 	assignLit := func(l int) bool {
 		v, s := abs(l), int8(1)
 		if l < 0 {
@@ -148,6 +153,7 @@ func (c *checker) rup(lits []int) bool {
 			return old == s // false signals conflict
 		}
 		assign[v] = s
+		queue = append(queue, l)
 		return true
 	}
 	valueOf := func(l int) int8 {
@@ -160,45 +166,64 @@ func (c *checker) rup(lits []int) bool {
 		}
 		return s
 	}
+	// conflict reports whether clause cl is falsified, and assigns its
+	// open literal when it is unit.
+	conflict := func(cl *chkClause) bool {
+		open, openCount := 0, 0
+		for _, l := range cl.lits {
+			switch valueOf(l) {
+			case 1:
+				return false
+			case 0:
+				// Count distinct literals: a clause that repeats its
+				// one open literal is still unit.
+				if openCount == 0 || l != open {
+					openCount++
+				}
+				open = l
+			}
+		}
+		switch openCount {
+		case 0:
+			return true
+		case 1:
+			assignLit(open)
+		}
+		return false
+	}
+	// conflictIn visits the live clauses of ids, returning them with the
+	// stale ids of deleted clauses dropped.
+	conflictIn := func(ids []int) ([]int, bool) {
+		live := ids[:0]
+		for i, id := range ids {
+			cl, ok := c.clauses[id]
+			if !ok {
+				continue
+			}
+			live = append(live, id)
+			if conflict(cl) {
+				return append(live, ids[i+1:]...), true
+			}
+		}
+		return live, false
+	}
 	for _, l := range lits {
 		if !assignLit(-l) {
 			return true // the negated clause is self-contradictory
 		}
 	}
-	// Saturate unit propagation (simple fixpoint; databases here are
-	// small).
-	for {
-		progress := false
-		for _, cl := range c.clauses {
-			var unassigned int
-			unassignedCount := 0
-			sat := false
-			for _, l := range cl.lits {
-				switch valueOf(l) {
-				case 1:
-					sat = true
-				case 0:
-					unassigned = l
-					unassignedCount++
-				}
-			}
-			if sat {
-				continue
-			}
-			switch unassignedCount {
-			case 0:
-				return true // conflict
-			case 1:
-				if !assignLit(unassigned) {
-					return true
-				}
-				progress = true
-			}
-		}
-		if !progress {
-			return false
+	var confl bool
+	if c.units, confl = conflictIn(c.units); confl {
+		return true
+	}
+	for len(queue) > 0 {
+		l := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if c.occur[-l], confl = conflictIn(c.occur[-l]); confl {
+			return true
 		}
 	}
+	return false
 }
 
 // CheckDRAT verifies a DRAT proof of unsatisfiability for the formula:

@@ -50,22 +50,24 @@ func TestDRATTrivialUnsat(t *testing.T) {
 }
 
 func TestDRATRandomUnsat(t *testing.T) {
-	rng := rand.New(rand.NewSource(2024))
-	checked := 0
-	for trial := 0; trial < 60 && checked < 12; trial++ {
-		vars := 5 + rng.Intn(6)
-		cnf := randomCNF(rng, vars, vars*6, 3)
-		st, proof := solveWithProof(t, cnf)
-		if st != Unsat {
-			continue
+	for _, k := range []int{3, mixed23} {
+		rng := rand.New(rand.NewSource(2024))
+		checked := 0
+		for trial := 0; trial < 60 && checked < 12; trial++ {
+			vars := 5 + rng.Intn(6)
+			cnf := randomCNF(rng, vars, vars*6, k)
+			st, proof := solveWithProof(t, cnf)
+			if st != Unsat {
+				continue
+			}
+			if err := CheckDRAT(cnf, proof); err != nil {
+				t.Fatalf("k=%d trial %d: proof rejected: %v", k, trial, err)
+			}
+			checked++
 		}
-		if err := CheckDRAT(cnf, proof); err != nil {
-			t.Fatalf("trial %d: proof rejected: %v", trial, err)
+		if checked == 0 {
+			t.Fatalf("k=%d: no unsat instances generated", k)
 		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no unsat instances generated")
 	}
 }
 

@@ -127,6 +127,11 @@ func (s *Solver) importShared(lits []Lit, lbd int32) (accepted, alive bool) {
 		}
 		return true, true
 	}
+	if len(buf) == 2 {
+		s.addBinary(buf[0], buf[1])
+		s.binLearnts++
+		return true, true
+	}
 	if lbd < 1 {
 		lbd = 1
 	}

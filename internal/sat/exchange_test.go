@@ -2,6 +2,7 @@ package sat
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -138,6 +139,61 @@ func TestProofModeRUPGateKeepsCertificateValid(t *testing.T) {
 	}
 	if err := CheckDRAT(cnf, bytes.NewReader(proof.Bytes())); err != nil {
 		t.Fatalf("DRAT certificate with imported lemma rejected: %v", err)
+	}
+}
+
+// TestImportedBinaryJoinsImplicationLists: an imported binary clause is
+// stored like a learnt binary, as one entry in each of its literals'
+// implication lists and nothing in the arena, and is counted in
+// Stats.Imported and NumLearnts. In proof mode it passes the RUP gate
+// first and the certificate still checks.
+func TestImportedBinaryJoinsImplicationLists(t *testing.T) {
+	cnf := php(7, 6)
+	// Pigeons 1 and 2 are not both in hole 1: an original clause, so RUP.
+	a, b := LitFromDimacs(-1), LitFromDimacs(-7)
+	for _, proofMode := range []bool{false, true} {
+		var proof bytes.Buffer
+		var s *Solver
+		f := &fakeExchange{}
+		f.deliver = func(round int, add func([]Lit, int32) bool) {
+			if round != 1 {
+				return
+			}
+			learnts, words := s.NumLearnts(), s.ArenaStats().Words
+			if !add([]Lit{a, b}, 2) {
+				t.Errorf("proof mode %v: binary import rejected", proofMode)
+				return
+			}
+			if got := s.NumLearnts(); got != learnts+1 {
+				t.Errorf("proof mode %v: NumLearnts %d after the import, want %d", proofMode, got, learnts+1)
+			}
+			if got := s.ArenaStats().Words; got != words {
+				t.Errorf("proof mode %v: the import grew the arena from %d to %d words", proofMode, words, got)
+			}
+			if !slices.Contains(s.bins[a], b) || !slices.Contains(s.bins[b], a) {
+				t.Errorf("proof mode %v: imported clause missing from the implication lists", proofMode)
+			}
+		}
+		opts := Options{RestartBase: 1, Exchange: f}
+		if proofMode {
+			opts.ProofWriter = &proof
+		}
+		s = New(opts)
+		loadPHPInto(s, 7, 6)
+		if st := s.Solve(); st != Unsat {
+			t.Fatalf("proof mode %v: got %v, want Unsat", proofMode, st)
+		}
+		if s.Stats.Imported != 1 {
+			t.Fatalf("proof mode %v: Stats.Imported = %d, want 1", proofMode, s.Stats.Imported)
+		}
+		if err := s.checkInvariants(); err != nil {
+			t.Fatalf("proof mode %v: %v", proofMode, err)
+		}
+		if proofMode {
+			if err := CheckDRAT(cnf, bytes.NewReader(proof.Bytes())); err != nil {
+				t.Fatalf("DRAT certificate with an imported binary rejected: %v", err)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -57,4 +58,68 @@ func FuzzParseDimacs(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSolveAgainstBrute cross-checks the solver on small formulas that
+// mix binary and ternary clauses, the shape of the direct and muldirect
+// encodings: a Sat model must satisfy the formula, and an Unsat answer
+// must agree with BruteForce and come with a DRAT proof that CheckDRAT
+// accepts.
+func FuzzSolveAgainstBrute(f *testing.F) {
+	// A literal byte is (variable-1)<<1 | sign.
+	f.Add([]byte{1, 0, 0, 1, 0, 2, 3})                         // (1 ∨ -1) (2 ∨ -2): tautologies
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 1})                         // (1 ∨ 1) (-1 ∨ -1): repeated literals, units
+	f.Add([]byte{1, 0, 0, 2, 0, 0, 3, 0, 1, 2, 0, 1, 3})       // all four binary clauses over two variables
+	f.Add([]byte{3, 1, 0, 2, 4, 0, 1, 6, 1, 3, 5, 7, 0, 2, 7}) // (1 ∨ 2 ∨ 3) (-1 ∨ 4) (-2 ∨ -3 ∨ -4) (2 ∨ -4)
+	// Twelve variables, binary and ternary clauses.
+	f.Add([]byte{11, 0, 1, 3, 0, 5, 7, 1, 9, 11, 13, 0, 2, 4, 1, 6, 8, 10, 0, 12, 14})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cnf := fuzzCNF(data)
+		var proof bytes.Buffer
+		res := SolveCNFContext(context.Background(), cnf, Options{ProofWriter: &proof})
+		switch res.Status {
+		case Sat:
+			if !cnf.Eval(res.Model) {
+				t.Fatalf("model %v does not satisfy %v", res.Model, cnf.Clauses)
+			}
+		case Unsat:
+			if want, _ := BruteForce(cnf); want != Unsat {
+				t.Fatalf("solver says Unsat, brute force %v: %v", want, cnf.Clauses)
+			}
+			if err := CheckDRAT(cnf, &proof); err != nil {
+				t.Fatalf("proof rejected: %v\nformula %v", err, cnf.Clauses)
+			}
+		default:
+			t.Fatalf("no answer (%v) on %v", res.Status, cnf.Clauses)
+		}
+	})
+}
+
+// fuzzCNF decodes bytes into a formula over 1 to 12 variables, the
+// count picked by the first byte. Each clause then takes a length byte,
+// whose low bit picks 2 or 3 literals, and one byte per literal: bit 0
+// is the sign, the rest the variable. A trailing partial clause is
+// dropped.
+func fuzzCNF(data []byte) *CNF {
+	cnf := &CNF{}
+	if len(data) == 0 {
+		return cnf
+	}
+	cnf.NumVars = 1 + int(data[0])%12
+	for rest := data[1:]; len(rest) > 0; {
+		n := 2 + int(rest[0]&1)
+		if len(rest) < 1+n {
+			break
+		}
+		cl := make([]int, n)
+		for i, b := range rest[1 : 1+n] {
+			cl[i] = 1 + int(b>>1)%cnf.NumVars
+			if b&1 == 1 {
+				cl[i] = -cl[i]
+			}
+		}
+		cnf.AddClause(cl...)
+		rest = rest[1+n:]
+	}
+	return cnf
 }

@@ -98,9 +98,10 @@ func (s *Solver) SolveAssumingContext(ctx context.Context, assumps ...Lit) Statu
 // assumptions. The slice is valid until the next solve call.
 func (s *Solver) FailedAssumptions() []Lit { return s.conflictCore }
 
-// NumLearnts returns the current learnt-clause database size — the
-// clauses an incremental caller reuses across SolveAssuming calls.
-func (s *Solver) NumLearnts() int { return len(s.learnts) }
+// NumLearnts returns the current learnt-clause database size, binary
+// ones included — the clauses an incremental caller reuses across
+// SolveAssuming calls.
+func (s *Solver) NumLearnts() int { return len(s.learnts) + s.binLearnts }
 
 // analyzeFinal computes the failed-assumption core when assumption p is
 // found false while establishing the assumption decision levels: the
@@ -122,6 +123,10 @@ func (s *Solver) analyzeFinal(p Lit) {
 		if r := s.reason[v]; r == RefUndef {
 			if s.level[v] > 0 {
 				s.conflictCore = append(s.conflictCore, s.trail[i])
+			}
+		} else if isBinRef(r) {
+			if q := binLit(r); s.level[q.Var()] > 0 {
+				s.seen[q.Var()] = 1
 			}
 		} else {
 			for _, qw := range s.ca.lits(r)[1:] {

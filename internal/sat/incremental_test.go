@@ -127,58 +127,67 @@ func TestSolveAssumingFreshVariables(t *testing.T) {
 }
 
 // TestSolveAssumingAgainstBruteForce cross-checks incremental solves
-// under random assumption sets against the reference solver on the
-// same formula with the assumptions added as unit clauses.
+// under random assumption sets, on pure 3-CNF and mixed 2-/3-CNF,
+// against the reference solver on the same formula with the
+// assumptions added as unit clauses.
 func TestSolveAssumingAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 30; round++ {
-		vars := 6 + rng.Intn(6)
-		cnf := randomCNF(rng, vars, vars*4, 3)
-		s := New(Options{DisableMinimize: round%2 == 0})
-		if !s.Load(cnf) {
-			continue // trivially unsat at load time
-		}
-		for probe := 0; probe < 6; probe++ {
-			var assumps []Lit
-			ref := &CNF{NumVars: cnf.NumVars}
-			for _, cl := range cnf.Clauses {
-				ref.AddClause(append([]int(nil), cl...)...)
+	for _, k := range []int{3, mixed23} {
+		rng := rand.New(rand.NewSource(7))
+		for round := 0; round < 30; round++ {
+			vars := 6 + rng.Intn(6)
+			// Below each family's threshold, so that most formulas are
+			// satisfiable and the assumptions decide.
+			clauses := vars * 4
+			if k == mixed23 {
+				clauses = vars * 5 / 2
 			}
-			for v := 1; v <= vars; v++ {
-				if rng.Intn(3) != 0 {
-					continue
-				}
-				d := v
-				if rng.Intn(2) == 0 {
-					d = -v
-				}
-				assumps = append(assumps, lit(d))
-				ref.AddClause(d)
+			cnf := randomCNF(rng, vars, clauses, k)
+			s := New(Options{DisableMinimize: round%2 == 0})
+			if !s.Load(cnf) {
+				continue // trivially unsat at load time
 			}
-			want, _ := BruteForce(ref)
-			got := s.SolveAssuming(assumps...)
-			if got != want {
-				t.Fatalf("round %d probe %d assumps %v: incremental %v, brute force %v",
-					round, probe, assumps, got, want)
-			}
-			if got == Sat {
-				m := s.Model()
-				if !ref.Eval(m) {
-					t.Fatalf("round %d probe %d: model violates formula+assumptions", round, probe)
-				}
-			} else {
-				// The failed core must itself be inconsistent with the
-				// original formula.
-				coreRef := &CNF{NumVars: cnf.NumVars}
+			for probe := 0; probe < 6; probe++ {
+				var assumps []Lit
+				ref := &CNF{NumVars: cnf.NumVars}
 				for _, cl := range cnf.Clauses {
-					coreRef.AddClause(append([]int(nil), cl...)...)
+					ref.AddClause(append([]int(nil), cl...)...)
 				}
-				for _, l := range s.FailedAssumptions() {
-					coreRef.AddClause(l.Dimacs())
+				for v := 1; v <= vars; v++ {
+					if rng.Intn(3) != 0 {
+						continue
+					}
+					d := v
+					if rng.Intn(2) == 0 {
+						d = -v
+					}
+					assumps = append(assumps, lit(d))
+					ref.AddClause(d)
 				}
-				if st, _ := BruteForce(coreRef); st != Unsat {
-					t.Fatalf("round %d probe %d: failed core %v is not actually inconsistent",
-						round, probe, s.FailedAssumptions())
+				want, _ := BruteForce(ref)
+				got := s.SolveAssuming(assumps...)
+				if got != want {
+					t.Fatalf("k=%d round %d probe %d assumps %v: incremental %v, brute force %v",
+						k, round, probe, assumps, got, want)
+				}
+				if got == Sat {
+					m := s.Model()
+					if !ref.Eval(m) {
+						t.Fatalf("k=%d round %d probe %d: model violates formula+assumptions", k, round, probe)
+					}
+				} else {
+					// The failed core must itself be inconsistent with the
+					// original formula.
+					coreRef := &CNF{NumVars: cnf.NumVars}
+					for _, cl := range cnf.Clauses {
+						coreRef.AddClause(append([]int(nil), cl...)...)
+					}
+					for _, l := range s.FailedAssumptions() {
+						coreRef.AddClause(l.Dimacs())
+					}
+					if st, _ := BruteForce(coreRef); st != Unsat {
+						t.Fatalf("k=%d round %d probe %d: failed core %v is not actually inconsistent",
+							k, round, probe, s.FailedAssumptions())
+					}
 				}
 			}
 		}

@@ -7,9 +7,12 @@ import (
 )
 
 // checkInvariants verifies structural solver invariants at decision
-// level 0: every stored clause is watched on exactly its first two
-// literals, watch lists reference live clauses, the trail is consistent
-// with the assignment, and the arena's garbage accounting is sound.
+// level 0: every arena clause has at least three literals and is
+// watched on exactly its first two, watch lists reference live clauses,
+// every binary clause has both of its implication-list entries and no
+// others, reasons name clauses that imply their literal, the trail is
+// consistent with the assignment, and the arena's garbage accounting is
+// sound.
 func (s *Solver) checkInvariants() error {
 	if s.decisionLevel() != 0 {
 		return fmt.Errorf("invariants checked above level 0")
@@ -39,12 +42,31 @@ func (s *Solver) checkInvariants() error {
 		}
 	}
 	for ref := range all {
-		if s.ca.size(ref) < 2 {
-			return fmt.Errorf("stored clause with %d literals", s.ca.size(ref))
+		if s.ca.size(ref) < 3 {
+			return fmt.Errorf("arena clause with %d literals", s.ca.size(ref))
 		}
 		if watched[ref] != 2 {
 			return fmt.Errorf("clause watched %d times, want 2", watched[ref])
 		}
+	}
+	// Binary clauses: bins[l] holding q is one half of the clause (l ∨ q);
+	// its mirror, l in bins[q], must be there as often.
+	type pair struct{ l, q Lit }
+	halves, entries := map[pair]int{}, 0
+	for l, qs := range s.bins {
+		for _, q := range qs {
+			halves[pair{Lit(l), q}]++
+			entries++
+		}
+	}
+	for h, n := range halves {
+		if halves[pair{h.q, h.l}] != n {
+			return fmt.Errorf("binary clause (%v ∨ %v): entry without its mirror", h.l, h.q)
+		}
+	}
+	if want := 2 * (s.binClauses + s.binLearnts); entries != want {
+		return fmt.Errorf("%d binary entries, want 2 × (%d problem + %d learnt)",
+			entries, s.binClauses, s.binLearnts)
 	}
 	// Arena accounting: live words plus recorded garbage must exactly
 	// tile the arena.
@@ -58,6 +80,14 @@ func (s *Solver) checkInvariants() error {
 		}
 		if s.assigns[v] == lUndef {
 			continue // stale reason of an unassigned var is never read
+		}
+		if isBinRef(r) {
+			// (implied ∨ other): other is false and its list names implied.
+			implied, other := MkLit(Var(v), s.assigns[v] == lFalse), binLit(r)
+			if s.value(other) != lFalse || halves[pair{other, implied}] == 0 {
+				return fmt.Errorf("var %d binary reason %v does not imply it", v, other)
+			}
+			continue
 		}
 		if !all[r] {
 			return fmt.Errorf("var %d reason references removed clause", v)
@@ -140,5 +170,38 @@ func TestInvariantsAfterReset(t *testing.T) {
 	}
 	if s.Resets() != 40 {
 		t.Fatalf("Resets() = %d, want 40", s.Resets())
+	}
+}
+
+// TestBinaryClausesStayOutOfArena: a binary clause is two
+// implication-list entries and nothing in the arena. A 2-CNF loads with
+// an empty arena while NumClauses counts every clause, and solving it
+// keeps the arena empty, since first-UIP learning over binary reasons
+// only derives clauses of one or two literals.
+func TestBinaryClausesStayOutOfArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var conflicts int64
+	for trial := 0; trial < 20; trial++ {
+		cnf := randomCNF(rng, 30, 30+rng.Intn(15), 2)
+		s := New(Options{})
+		if !s.Load(cnf) {
+			t.Fatalf("trial %d: a 2-CNF without units refuted while loading", trial)
+		}
+		if st := s.ArenaStats(); st.Words != 0 || s.NumClauses() != len(cnf.Clauses) {
+			t.Fatalf("trial %d: %d arena words, NumClauses %d; want 0 and %d",
+				trial, st.Words, s.NumClauses(), len(cnf.Clauses))
+		}
+		s.Solve()
+		conflicts += s.Stats.Conflicts
+		if st := s.ArenaStats(); st.Words != 0 || int64(s.NumLearnts()) != s.Stats.Learnt {
+			t.Fatalf("trial %d: %d arena words, %d learnts of %d learnt; want 0 and all",
+				trial, st.Words, s.NumLearnts(), s.Stats.Learnt)
+		}
+		if err := s.checkInvariants(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+	if conflicts == 0 {
+		t.Fatal("no conflicts: binary conflict analysis never ran")
 	}
 }

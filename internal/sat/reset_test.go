@@ -84,6 +84,21 @@ func TestResetRetainsCapacity(t *testing.T) {
 	}
 }
 
+// TestAddClauseAllocationFree: once a solver holds the capacity for a
+// clause, loading it again allocates nothing, binary or not.
+func TestAddClauseAllocationFree(t *testing.T) {
+	for _, cl := range [][]int{{2, -1}, {3, -1, 2}} {
+		s := New(Options{})
+		allocs := testing.AllocsPerRun(100, func() {
+			s.Reset(Options{})
+			s.AddDimacsClause(cl...)
+		})
+		if allocs != 0 {
+			t.Errorf("loading a %d-literal clause into a warm solver: %v allocations, want 0", len(cl), allocs)
+		}
+	}
+}
+
 // TestGarbageCollection forces reduceDB deletions until the arena
 // compacts, and checks both the accounting and the verdict.
 func TestGarbageCollection(t *testing.T) {

@@ -3,14 +3,15 @@ package sat
 import (
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
 
-// watch pairs a watched clause with a blocker literal: if the blocker
-// is already true the clause is satisfied and need not be inspected.
-// With arena references instead of clause pointers an entry is 8 bytes,
-// halving watch-list bandwidth during propagation.
+// watch pairs a watched arena clause with a blocker literal: if the
+// blocker is already true the clause is satisfied and need not be
+// inspected. With arena references instead of clause pointers an entry
+// is 8 bytes, halving watch-list bandwidth during propagation.
 type watch struct {
 	ref     ClauseRef
 	blocker Lit
@@ -120,10 +121,11 @@ func Profiles() []Profile {
 // Solver is a CDCL SAT solver: two-literal watching, first-UIP conflict
 // analysis with basic clause minimization, VSIDS branching with phase
 // saving, Luby restarts and activity/LBD-driven learnt-clause deletion.
-// Clauses live in a flat arena (see arena.go) addressed by ClauseRef
-// offsets; Reset rewinds the solver for a fresh problem while keeping
-// the arena, watch-list and trail capacity, so one Solver can serve
-// many solves without re-paying its allocations.
+// Clauses of three or more literals live in a flat arena (see arena.go)
+// addressed by ClauseRef offsets; binary clauses live only in
+// per-literal implication lists. Reset rewinds the solver for a fresh
+// problem while keeping the arena, list and trail capacity, so one
+// Solver can serve many solves without re-paying its allocations.
 //
 // A Solver is not safe for concurrent use, with one exception: Stop may
 // be called from another goroutine to cancel a running Solve.
@@ -131,9 +133,18 @@ type Solver struct {
 	opts Options
 
 	ca      clauseArena
-	clauses []ClauseRef
-	learnts []ClauseRef
-	watches [][]watch // indexed by Lit; watches[l] lists clauses watching l
+	clauses []ClauseRef // problem clauses of 3+ literals
+	learnts []ClauseRef // learnt clauses of 3+ literals
+	watches [][]watch   // indexed by Lit; watches[l] lists arena clauses watching l
+	// bins[l] holds the other literal of every binary clause containing
+	// l, so each entry is implied once l is false. binClauses and
+	// binLearnts count the problem and learnt binary clauses (learnt ones
+	// are never deleted); each has one entry in each of its literals'
+	// lists. binConfl is the list entry found false in the last binary
+	// conflict, the clause's second literal beside the tagged ref.
+	bins                   [][]Lit
+	binClauses, binLearnts int
+	binConfl               Lit
 
 	assigns  []int8 // indexed by Var
 	polarity []bool // saved phase, indexed by Var
@@ -235,12 +246,11 @@ func (s *Solver) reset(opts Options) {
 	s.ca.reset()
 	s.clauses = s.clauses[:0]
 	s.learnts = s.learnts[:0]
-	// Truncate each inner watch list before the outer slice so NewVar
-	// can re-expose them (with their capacity) by reslicing.
-	for i := range s.watches {
-		s.watches[i] = s.watches[i][:0]
-	}
+	// NewVar re-exposes the inner lists, with their capacity, by
+	// reslicing the outer ones.
 	s.watches = s.watches[:0]
+	s.bins = s.bins[:0]
+	s.binClauses, s.binLearnts = 0, 0
 	s.assigns = s.assigns[:0]
 	s.polarity = s.polarity[:0]
 	s.level = s.level[:0]
@@ -272,9 +282,16 @@ func (s *Solver) reset(opts Options) {
 	s.Stats = Stats{}
 }
 
+// maxVars bounds the variable count so that no literal reaches 2^31-1,
+// the literal RefUndef would name as a binary-clause reference.
+const maxVars = 1<<30 - 1
+
 // NewVar introduces a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))
+	if v >= maxVars {
+		panic("sat: variable limit exceeded")
+	}
 	phase := s.opts.InitialPhase
 	act := 0.0
 	if s.opts.Seed != 0 {
@@ -294,17 +311,24 @@ func (s *Solver) NewVar() Var {
 	s.reason = append(s.reason, RefUndef)
 	s.activity = append(s.activity, act)
 	s.seen = append(s.seen, 0)
-	// Re-expose retained inner watch lists by reslicing when a Reset
-	// left capacity behind; appending nil would orphan them.
-	if n := len(s.watches); cap(s.watches) >= n+2 {
-		s.watches = s.watches[:n+2]
-		s.watches[n] = s.watches[n][:0]
-		s.watches[n+1] = s.watches[n+1][:0]
-	} else {
-		s.watches = append(s.watches, nil, nil)
-	}
+	s.watches = extendLitLists(s.watches)
+	s.bins = extendLitLists(s.bins)
 	s.order.insert(v)
 	return v
+}
+
+// extendLitLists adds the two per-literal lists of a new variable. When
+// a Reset left capacity behind it re-exposes the retained inner lists by
+// reslicing; appending nil would orphan them.
+func extendLitLists[T any](lists [][]T) [][]T {
+	n := len(lists)
+	if cap(lists) < n+2 {
+		return append(lists, nil, nil)
+	}
+	lists = lists[:n+2]
+	lists[n] = lists[n][:0]
+	lists[n+1] = lists[n+1][:0]
+	return lists
 }
 
 // NumVars returns the number of variables created so far.
@@ -343,7 +367,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// in a scratch buffer reused across calls.
 	ls := append(s.addBuf[:0], lits...)
 	s.addBuf = ls
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = LitUndef
 	for _, l := range ls {
@@ -365,6 +389,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.uncheckedEnqueue(out[0], RefUndef)
 		s.ok = s.propagate() == RefUndef
 		return s.ok
+	case 2:
+		s.addBinary(out[0], out[1])
+		s.binClauses++
+		return true
 	}
 	ref := s.ca.alloc(out, false, 0)
 	s.clauses = append(s.clauses, ref)
@@ -380,6 +408,13 @@ func (s *Solver) AddDimacsClause(dimacs ...int) bool {
 	}
 	s.litBuf = lits
 	return s.AddClause(lits...)
+}
+
+// addBinary stores the binary clause (a ∨ b) as one entry in each of
+// its literals' implication lists; the caller counts it.
+func (s *Solver) addBinary(a, b Lit) {
+	s.bins[a] = append(s.bins[a], b)
+	s.bins[b] = append(s.bins[b], a)
 }
 
 func (s *Solver) attach(ref ClauseRef) {
@@ -418,8 +453,12 @@ func (s *Solver) uncheckedEnqueue(l Lit, from ClauseRef) {
 	}
 }
 
-// propagate performs unit propagation over the watch lists and returns
-// the first conflicting clause, or RefUndef if a fixpoint was reached.
+// propagate performs unit propagation and returns the first conflicting
+// clause, or RefUndef if a fixpoint was reached. Each falsified literal's
+// binary implications are applied first, then its arena watches. A
+// binary conflict is returned as the reason the list entry found false
+// would have had, binRef of the falsified literal, with the entry in
+// s.binConfl.
 func (s *Solver) propagate() ClauseRef {
 	confl := RefUndef
 	for s.qhead < len(s.trail) {
@@ -427,6 +466,16 @@ func (s *Solver) propagate() ClauseRef {
 		s.qhead++
 		s.Stats.Propagations++
 		falseLit := p.Neg()
+		for _, q := range s.bins[falseLit] {
+			switch s.value(q) {
+			case lUndef:
+				s.uncheckedEnqueue(q, binRef(falseLit))
+			case lFalse:
+				s.binConfl = q
+				s.qhead = len(s.trail)
+				return binRef(falseLit)
+			}
+		}
 		ws := s.watches[falseLit]
 		j := 0
 	nextWatch:
@@ -490,9 +539,18 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int) {
 	p := LitUndef
 	index := len(s.trail) - 1
 
+	var bin [2]uint32 // a binary clause's literals, outside the arena
 	for {
-		s.claBumpActivity(confl)
-		lits := s.ca.lits(confl)
+		var lits []uint32
+		if isBinRef(confl) {
+			// A binary reason (p ∨ binLit) or, in the first round, the
+			// binary conflict (s.binConfl ∨ binLit).
+			bin = [2]uint32{uint32(s.binConfl), uint32(binLit(confl))}
+			lits = bin[:]
+		} else {
+			s.claBumpActivity(confl)
+			lits = s.ca.lits(confl)
+		}
 		if p != LitUndef {
 			lits = lits[1:] // lits[0] of a reason clause is the propagated literal
 		}
@@ -566,6 +624,10 @@ func (s *Solver) litRedundant(l Lit) bool {
 	r := s.reason[l.Var()]
 	if r == RefUndef {
 		return false
+	}
+	if isBinRef(r) {
+		v := binLit(r).Var()
+		return s.seen[v] != 0 || s.level[v] == 0
 	}
 	for _, qw := range s.ca.lits(r)[1:] {
 		v := Lit(qw).Var()
@@ -677,8 +739,10 @@ func (s *Solver) clauseLits(ref ClauseRef) []Lit {
 
 // reduceDB removes roughly half of the learnt clauses, preferring high
 // LBD and low activity, and never touching reason ("locked") clauses
-// or binary clauses. Deleted clauses become arena garbage; once a
-// fifth of the arena is garbage it is compacted in place.
+// or binary clauses. Binary learnts live outside s.learnts but count
+// towards the half, as glue clauses that would sort last and be kept.
+// Deleted clauses become arena garbage; once a fifth of the arena is
+// garbage it is compacted in place.
 func (s *Solver) reduceDB() {
 	ca := &s.ca
 	sort.Slice(s.learnts, func(i, j int) bool {
@@ -689,11 +753,11 @@ func (s *Solver) reduceDB() {
 		}
 		return ca.act(a) < ca.act(b)
 	})
-	extLim := s.claInc / float64(len(s.learnts)+1)
+	extLim := s.claInc / float64(s.NumLearnts()+1)
 	j := 0
-	limit := len(s.learnts) / 2
+	limit := s.NumLearnts() / 2
 	for i, ref := range s.learnts {
-		removable := ca.size(ref) > 2 && !s.locked(ref) &&
+		removable := !s.locked(ref) &&
 			(i < limit || float64(ca.act(ref)) < extLim) && ca.lbd(ref) > 2
 		if removable {
 			s.detach(ref)
@@ -730,7 +794,7 @@ func (s *Solver) Stopped() bool { return s.stopped.Load() }
 // learnt-DB size and trail depth, the payload of a Progress callback.
 func (s *Solver) snapshotStats() Stats {
 	st := s.Stats
-	st.LearntDB = len(s.learnts)
+	st.LearntDB = s.NumLearnts()
 	st.TrailDepth = len(s.trail)
 	return st
 }
@@ -780,11 +844,17 @@ func (s *Solver) search(nofConflicts int64) Status {
 				}
 			} else {
 				lbd := s.computeLBD(learnt)
-				ref := s.ca.alloc(learnt, true, lbd)
-				s.learnts = append(s.learnts, ref)
-				s.attach(ref)
-				s.claBumpActivity(ref)
-				s.uncheckedEnqueue(learnt[0], ref)
+				if len(learnt) == 2 {
+					s.addBinary(learnt[0], learnt[1])
+					s.binLearnts++
+					s.uncheckedEnqueue(learnt[0], binRef(learnt[1]))
+				} else {
+					ref := s.ca.alloc(learnt, true, lbd)
+					s.learnts = append(s.learnts, ref)
+					s.attach(ref)
+					s.claBumpActivity(ref)
+					s.uncheckedEnqueue(learnt[0], ref)
+				}
 				s.Stats.Learnt++
 				if s.opts.Exchange != nil {
 					s.opts.Exchange.Learnt(learnt, lbd)
@@ -806,7 +876,7 @@ func (s *Solver) search(nofConflicts int64) Status {
 			s.cancelUntil(0)
 			return Unknown
 		}
-		if float64(len(s.learnts))-float64(len(s.trail)) >= s.maxLearnts {
+		if float64(s.NumLearnts())-float64(len(s.trail)) >= s.maxLearnts {
 			s.reduceDB()
 		}
 		// Establish the assumption decision levels before any search
@@ -882,7 +952,7 @@ func (s *Solver) solveWith(assumps []Lit) Status {
 	}
 	defer s.flushProof()
 	defer s.cancelUntil(0)
-	s.maxLearnts = math.Max(float64(len(s.clauses))*0.33, 5000)
+	s.maxLearnts = math.Max(float64(s.NumClauses())*0.33, 5000)
 	if s.opts.LearntLimit > 0 {
 		s.maxLearnts = float64(s.opts.LearntLimit)
 	}
@@ -952,8 +1022,9 @@ func (s *Solver) solveWith(assumps []Lit) Status {
 func (s *Solver) Model() []bool { return s.model }
 
 // NumClauses returns the number of problem clauses currently stored
-// (after level-0 simplification during AddClause).
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+// (after level-0 simplification during AddClause), binary ones
+// included.
+func (s *Solver) NumClauses() int { return len(s.clauses) + s.binClauses }
 
 // flushProof flushes any pending proof output. The flush error, if
 // any, is reported by ProofError.

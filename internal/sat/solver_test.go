@@ -128,13 +128,22 @@ func TestPigeonholeSat(t *testing.T) {
 	}
 }
 
-// randomCNF generates a random k-SAT instance.
+// mixed23 as randomCNF's k draws each clause's length from {2, 3}: the
+// binary clauses put binary reasons and binary conflicts into the search.
+const mixed23 = 0
+
+// randomCNF generates a random k-SAT instance, or a mixed 2-/3-SAT one
+// when k is mixed23.
 func randomCNF(rng *rand.Rand, vars, clauses, k int) *CNF {
 	cnf := &CNF{NumVars: vars}
 	for i := 0; i < clauses; i++ {
-		cl := make([]int, 0, k)
+		n := k
+		if k == mixed23 {
+			n = 2 + rng.Intn(2)
+		}
+		cl := make([]int, 0, n)
 		used := map[int]bool{}
-		for len(cl) < k {
+		for len(cl) < n {
 			v := rng.Intn(vars) + 1
 			if used[v] {
 				continue
@@ -152,22 +161,24 @@ func randomCNF(rng *rand.Rand, vars, clauses, k int) *CNF {
 
 // TestRandomAgainstBruteForce cross-checks the CDCL solver against
 // exhaustive enumeration on many small random instances spanning the
-// sat/unsat phase transition.
+// sat/unsat phase transition, in pure 3-CNF and in mixed 2-/3-CNF.
 func TestRandomAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(12345))
-	for trial := 0; trial < 300; trial++ {
-		vars := 3 + rng.Intn(10)
-		ratio := 2 + rng.Float64()*4 // clause/var ratio 2..6 spans the transition
-		clauses := int(float64(vars) * ratio)
-		cnf := randomCNF(rng, vars, clauses, 3)
-		want, _ := BruteForce(cnf)
-		res := SolveCNFContext(context.Background(), cnf, Options{})
-		if res.Status != want {
-			t.Fatalf("trial %d (vars=%d clauses=%d): CDCL=%v brute=%v",
-				trial, vars, clauses, res.Status, want)
-		}
-		if res.Status == Sat && !cnf.Eval(res.Model) {
-			t.Fatalf("trial %d: model does not satisfy formula", trial)
+	for _, k := range []int{3, mixed23} {
+		rng := rand.New(rand.NewSource(12345))
+		for trial := 0; trial < 300; trial++ {
+			vars := 3 + rng.Intn(10)
+			ratio := 2 + rng.Float64()*4 // clause/var ratio 2..6 spans the transition
+			clauses := int(float64(vars) * ratio)
+			cnf := randomCNF(rng, vars, clauses, k)
+			want, _ := BruteForce(cnf)
+			res := SolveCNFContext(context.Background(), cnf, Options{})
+			if res.Status != want {
+				t.Fatalf("k=%d trial %d (vars=%d clauses=%d): CDCL=%v brute=%v",
+					k, trial, vars, clauses, res.Status, want)
+			}
+			if res.Status == Sat && !cnf.Eval(res.Model) {
+				t.Fatalf("k=%d trial %d: model does not satisfy formula", k, trial)
+			}
 		}
 	}
 }
