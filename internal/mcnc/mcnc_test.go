@@ -3,6 +3,9 @@ package mcnc
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 
@@ -59,6 +62,53 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 	if g1.N() != g2.N() || g1.M() != g2.M() {
 		t.Fatalf("instance not deterministic: %d/%d vs %d/%d", g1.N(), g1.M(), g2.N(), g2.M())
+	}
+}
+
+// TestRegistryBuildsPinned holds every registry instance to the exact
+// routing and conflict graph its calibrated RoutableW was measured on.
+// The digest covers each route (net, subnet index, end pins, segments)
+// and the graph (size, every CSR row with weights, labels).
+func TestRegistryBuildsPinned(t *testing.T) {
+	want := map[string]string{
+		"alu2":      "bcb1634c2a7fa6f3fd7374ae95e8093ab8ccf2646b38122227c0f06d5d38f6c4",
+		"too_large": "0c1df94e0c1f626bed1b7a1f03ce4462e228d06e677e360a378661e7e4a0c618",
+		"alu4":      "4085a2b18f03bce9f704ae58b84637b568f3a4150bc3d29e45d544cf0d6267ef",
+		"C880":      "b1789d05fe132f39c60e5dadc7bc91968d145b3d4ac30138ef334c5155f9ce6d",
+		"apex7":     "38866c7b39dcc56526a67f63a4b9bc2e523b4c3c61c41a46ee052808070f58bb",
+		"C1355":     "0a0127da5bb33c96e56a328d38285781bfe071a47f9a538d652223edac89b113",
+		"vda":       "9483c512d4567c6248ac13bcfcc86b5c54936e631de94357f26f0270ef7ee82a",
+		"k2":        "fad8ba797fa1961a8beb45213f6fad242d19de4831a0e67543d44dd4912db984",
+		"tseng":     "1a12a86927d8a6d536da956dae7c30d196d4766be134c6628ce6f29f64936a3f",
+		"term1":     "11ac14d084e12a72d6ab9c2d1cf59e7221b5d4f8671275827189abb3402594a9",
+		"9symml":    "2798e0cab658146d03083c30b69b7a9f94c1628468822063d6ec5aa74184bf47",
+		"tseng.x2":  "f7c43ac02e172f8327dfc17abe83e10b218da9567bc07b99c83eff96e5710bdb",
+		"term1.x2":  "51cee1b71f2f318f90d77be5bc34f1e503d09130db4ad2e7493fc7c8c0946263",
+		"9symml.x2": "a4bb32832a28ab4f1adaf200fd30fc660a42931a264d27d5c3346d6460af3c23",
+		"term1.x3":  "f33256201658c5795b99224ad2f14086b89b82984be646afa9e03dc7d1ffd3ec",
+		"alu2.x2":   "6d3149b079ea4f7e14d4f604ad6d60e31257336d659e7df4fb0c41e57d4c2875",
+	}
+	for _, in := range Instances() {
+		gr, g, err := in.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, r := range gr.Routes {
+			fmt.Fprintf(h, "r %d %d %v %v %v\n", r.Net, r.Index, r.Src, r.Dst, r.Segs)
+		}
+		fmt.Fprintf(h, "g %d %d %v\n", g.N(), g.M(), g.Weighted())
+		for v := 0; v < g.N(); v++ {
+			fmt.Fprintf(h, "%d:", v)
+			for _, u := range g.Neighbors(v) {
+				fmt.Fprintf(h, " %d/%d", u, g.EdgeWeight(v, int(u)))
+			}
+			fmt.Fprintln(h)
+		}
+		fmt.Fprintf(h, "l %q\n", g.Labels)
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[in.Name] {
+			t.Errorf("%s: build digest = %s, want %s", in.Name, got, want[in.Name])
+		}
 	}
 }
 
