@@ -412,21 +412,31 @@ func BenchmarkScaleMinWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkGlobalRouter measures the PathFinder-style global router
-// (the "translation to graph coloring" cost).
+// BenchmarkGlobalRouter measures the "translation to graph coloring"
+// cost of Table 2: the negotiated-congestion global router and the
+// conflict-graph builder over all the registry netlists, with their
+// allocations.
 func BenchmarkGlobalRouter(b *testing.B) {
-	in := mustInstance(b, "alu2")
-	nl, err := fpga.Generate(in.Name, in.Gen)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		gr, _, err := fpga.RouteGlobal(nl, in.Route)
+	insts := mcnc.Instances()
+	nls := make([]*fpga.Netlist, len(insts))
+	for i, in := range insts {
+		nl, err := fpga.Generate(in.Name, in.Gen)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if gr.ConflictGraph().N() == 0 {
-			b.Fatal("empty conflict graph")
+		nls[i] = nl
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, in := range insts {
+			gr, _, err := fpga.RouteGlobal(nls[j], in.Route)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if gr.ConflictGraphXtalk(in.Crosstalk).N() == 0 {
+				b.Fatal("empty conflict graph")
+			}
 		}
 	}
 }

@@ -87,42 +87,61 @@ func (a Arch) SegName(s SegID) string {
 // endpoint switch blocks. With subset switch blocks the track index is
 // preserved across each returned adjacency.
 func (a Arch) Adjacent(s SegID) []SegID {
-	x, y, horizontal := a.SegCoords(s)
-	var out []SegID
-	// The two switch blocks at the segment ends.
-	var sbs [2][2]int
-	if horizontal {
-		sbs = [2][2]int{{x, y}, {x + 1, y}}
-	} else {
-		sbs = [2][2]int{{x, y}, {x, y + 1}}
-	}
-	for _, sb := range sbs {
-		for _, t := range a.switchBlockSegs(sb[0], sb[1]) {
-			if t != s {
-				out = append(out, t)
-			}
-		}
-	}
-	return out
+	return a.appendAdjacent(nil, s)
 }
 
-// switchBlockSegs lists the segments incident to the switch block at
-// intersection (x, y), x in 0..Cols, y in 0..Rows.
-func (a Arch) switchBlockSegs(x, y int) []SegID {
-	var out []SegID
+// appendAdjacent appends Adjacent(s) to dst.
+func (a Arch) appendAdjacent(dst []SegID, s SegID) []SegID {
+	x0, y0, x1, y1 := a.segEnds(s)
+	dst = a.appendSwitchBlockSegs(dst, x0, y0, s)
+	return a.appendSwitchBlockSegs(dst, x1, y1, s)
+}
+
+// adjacent reports whether t is in Adjacent(s), without allocating:
+// two distinct segments are adjacent exactly when they end at a common
+// switch block.
+func (a Arch) adjacent(s, t SegID) bool {
+	if s == t {
+		return false
+	}
+	sx0, sy0, sx1, sy1 := a.segEnds(s)
+	tx0, ty0, tx1, ty1 := a.segEnds(t)
+	return sx0 == tx0 && sy0 == ty0 || sx0 == tx1 && sy0 == ty1 ||
+		sx1 == tx0 && sy1 == ty0 || sx1 == tx1 && sy1 == ty1
+}
+
+// segEnds returns the intersections (x0, y0) and (x1, y1) of the two
+// switch blocks at the ends of s.
+func (a Arch) segEnds(s SegID) (x0, y0, x1, y1 int) {
+	x, y, horizontal := a.SegCoords(s)
+	if horizontal {
+		return x, y, x + 1, y
+	}
+	return x, y, x, y + 1
+}
+
+// appendSwitchBlockSegs appends to dst the segments other than skip
+// incident to the switch block at intersection (x, y), x in 0..Cols,
+// y in 0..Rows.
+func (a Arch) appendSwitchBlockSegs(dst []SegID, x, y int, skip SegID) []SegID {
+	add := func(t SegID) {
+		if t != skip {
+			dst = append(dst, t)
+		}
+	}
 	if x-1 >= 0 {
-		out = append(out, a.HSeg(x-1, y))
+		add(a.HSeg(x-1, y))
 	}
 	if x < a.Cols {
-		out = append(out, a.HSeg(x, y))
+		add(a.HSeg(x, y))
 	}
 	if y-1 >= 0 {
-		out = append(out, a.VSeg(x, y-1))
+		add(a.VSeg(x, y-1))
 	}
 	if y < a.Rows {
-		out = append(out, a.VSeg(x, y))
+		add(a.VSeg(x, y))
 	}
-	return out
+	return dst
 }
 
 // Side is a CLB pin side.

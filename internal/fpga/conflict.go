@@ -11,37 +11,10 @@ import (
 // routes belong to different multi-pin nets and pass through a common
 // connection block (channel segment). A detailed routing with W tracks
 // exists if and only if this graph is W-colorable, because subset
-// switch blocks preserve the track along each 2-pin route.
+// switch blocks preserve the track along each 2-pin route. It is
+// ConflictGraphXtalk(1).
 func (gr *GlobalRouting) ConflictGraph() *graph.Graph {
-	b := graph.NewBuilder(len(gr.Routes))
-	b.Labels = make([]string, len(gr.Routes))
-	for i, r := range gr.Routes {
-		b.Labels[i] = r.Label(gr.Netlist)
-	}
-	// Bucket route indices by segment, then connect different-net
-	// pairs within each bucket. Exclusivity needs to be imposed only
-	// once per pair even when they share several connection blocks.
-	bySeg := make([][]int, gr.Netlist.Arch.NumSegs())
-	for ri, r := range gr.Routes {
-		seen := map[SegID]bool{}
-		for _, s := range r.Segs {
-			if !seen[s] {
-				seen[s] = true
-				bySeg[s] = append(bySeg[s], ri)
-			}
-		}
-	}
-	for _, routes := range bySeg {
-		for i := 0; i < len(routes); i++ {
-			for j := i + 1; j < len(routes); j++ {
-				ri, rj := gr.Routes[routes[i]], gr.Routes[routes[j]]
-				if ri.Net != rj.Net {
-					b.AddEdge(routes[i], routes[j])
-				}
-			}
-		}
-	}
-	return b.Freeze()
+	return gr.ConflictGraphXtalk(1)
 }
 
 // ConflictGraphXtalk is ConflictGraph with crosstalk-aware spacing
@@ -53,46 +26,76 @@ func (gr *GlobalRouting) ConflictGraph() *graph.Graph {
 // the bandwidth-coloring CSP graph of the spacing-aware track
 // assignment problem.
 func (gr *GlobalRouting) ConflictGraphXtalk(xtalk int) *graph.Graph {
-	if xtalk <= 1 {
-		return gr.ConflictGraph()
-	}
-	b := graph.NewBuilder(len(gr.Routes))
-	b.Labels = make([]string, len(gr.Routes))
-	for i, r := range gr.Routes {
-		b.Labels[i] = r.Label(gr.Netlist)
-	}
-	bySeg := make([][]int, gr.Netlist.Arch.NumSegs())
+	n := len(gr.Routes)
+	nSegs := gr.Netlist.Arch.NumSegs()
+	// Each route's distinct segments in CSR form: route ri passes
+	// segs[routeStart[ri]:routeStart[ri+1]], each once, and segment s
+	// carries segStart[s+1]-segStart[s] routes.
+	routeStart := make([]int32, n+1)
+	segs := make([]SegID, 0, gr.TotalWirelength())
+	segStart := make([]int32, nSegs+1)
+	lastRoute := make([]int32, nSegs) // 1 + the last route listing segment s
 	for ri, r := range gr.Routes {
-		seen := map[SegID]bool{}
 		for _, s := range r.Segs {
-			if !seen[s] {
-				seen[s] = true
-				bySeg[s] = append(bySeg[s], ri)
+			if lastRoute[s] != int32(ri+1) {
+				lastRoute[s] = int32(ri + 1)
+				segs = append(segs, s)
+				segStart[s+1]++
 			}
 		}
+		routeStart[ri+1] = int32(len(segs))
 	}
-	// Count shared connection blocks per conflicting pair; two or more
-	// means coupled.
-	type pair struct{ a, b int }
-	shared := map[pair]int{}
-	for _, routes := range bySeg {
-		for i := 0; i < len(routes); i++ {
-			for j := i + 1; j < len(routes); j++ {
-				ri, rj := gr.Routes[routes[i]], gr.Routes[routes[j]]
-				if ri.Net != rj.Net {
-					shared[pair{routes[i], routes[j]}]++
+	// Bucket route indices by segment: the routes through segment s,
+	// ascending, are onSeg[segStart[s]:segStart[s+1]].
+	for s := 0; s < nSegs; s++ {
+		segStart[s+1] += segStart[s]
+	}
+	onSeg := make([]int32, len(segs))
+	fill := append([]int32(nil), segStart[:nSegs]...)
+	for ri := 0; ri < n; ri++ {
+		for _, s := range segs[routeStart[ri]:routeStart[ri+1]] {
+			onSeg[fill[s]] = int32(ri)
+			fill[s]++
+		}
+	}
+
+	// Route u gets an edge to every later route v of another net that
+	// shares a segment with it. shared[v] counts those segments while u
+	// is scanned, and is zero again once u's edges are emitted; two or
+	// more make the pair coupled.
+	coupled := max(xtalk, 1)
+	shared := make([]int32, n)
+	var partners []int32
+	g := graph.FromWeightedEdgeStream(n, func(emit func(u, v, d int)) {
+		for u := 0; u < n; u++ {
+			net := gr.Routes[u].Net
+			partners = partners[:0]
+			for _, s := range segs[routeStart[u]:routeStart[u+1]] {
+				for _, v := range onSeg[segStart[s]:segStart[s+1]] {
+					if int(v) <= u || gr.Routes[v].Net == net {
+						continue
+					}
+					if shared[v] == 0 {
+						partners = append(partners, v)
+					}
+					shared[v]++
 				}
 			}
+			for _, v := range partners {
+				d := 1
+				if shared[v] >= 2 {
+					d = coupled
+				}
+				emit(u, int(v), d)
+				shared[v] = 0
+			}
 		}
+	})
+	g.Labels = make([]string, n)
+	for i, r := range gr.Routes {
+		g.Labels[i] = r.Label(gr.Netlist)
 	}
-	for p, cnt := range shared {
-		d := 1
-		if cnt >= 2 {
-			d = xtalk
-		}
-		b.AddWeightedEdge(p.a, p.b, d)
-	}
-	return b.Freeze()
+	return g
 }
 
 // DetailedRouting is a global routing plus a track assignment: 2-pin

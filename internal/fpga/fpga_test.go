@@ -302,6 +302,49 @@ func TestValidateCatchesBrokenRoutes(t *testing.T) {
 	if err := gr2.Validate(); err == nil {
 		t.Fatal("uncovered sink accepted")
 	}
+
+	// Routes that are not the netlist's 2-pin nets, each added to an
+	// otherwise valid routing.
+	nl2 := &Netlist{Name: "m2", Arch: arch, Nets: []Net{
+		{Name: "a", Pins: []Pin{{0, 0, Bottom}, {1, 0, Bottom}}},
+		{Name: "b", Pins: []Pin{{0, 1, Top}, {1, 1, Top}}},
+	}}
+	a0 := TwoPinNet{Net: 0, Index: 0, Src: nl2.Nets[0].Pins[0], Dst: nl2.Nets[0].Pins[1],
+		Segs: []SegID{arch.HSeg(0, 0), arch.HSeg(1, 0)}}
+	b0 := TwoPinNet{Net: 1, Index: 0, Src: nl2.Nets[1].Pins[0], Dst: nl2.Nets[1].Pins[1],
+		Segs: []SegID{arch.HSeg(0, 2), arch.HSeg(1, 2)}}
+	if err := (&GlobalRouting{Netlist: nl2, Routes: []TwoPinNet{a0, b0}}).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	foreign := b0
+	foreign.Net = 0 // b's route filed under net a
+	outOfRange := a0
+	outOfRange.Index = 1 // net a has one sink
+	for name, extra := range map[string]TwoPinNet{
+		"duplicate route": a0, "foreign route": foreign, "subnet index out of range": outOfRange,
+	} {
+		gr := &GlobalRouting{Netlist: nl2, Routes: []TwoPinNet{a0, b0, extra}}
+		if err := gr.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+func TestAdjacentMatchesAdjacency(t *testing.T) {
+	for _, a := range []Arch{{Rows: 1, Cols: 1}, {Rows: 2, Cols: 3}, {Rows: 4, Cols: 4}} {
+		for s := SegID(0); int(s) < a.NumSegs(); s++ {
+			want := map[SegID]bool{}
+			for _, u := range a.Adjacent(s) {
+				want[u] = true
+			}
+			for u := SegID(0); int(u) < a.NumSegs(); u++ {
+				if a.adjacent(s, u) != want[u] {
+					t.Fatalf("%dx%d: adjacent(%s, %s) = %v, Adjacent says %v",
+						a.Cols, a.Rows, a.SegName(s), a.SegName(u), a.adjacent(s, u), want[u])
+				}
+			}
+		}
+	}
 }
 
 func TestNetlistValidate(t *testing.T) {

@@ -114,6 +114,9 @@ func TestParseRoutingErrors(t *testing.T) {
 		"routing m\nroute 0 0 0 0 S 7 -1 S H(0,0) H(1,0)\n", // dst pin off array
 		"routing m\nroute 5 0 0 0 S 1 0 S H(0,0) H(1,0)\n",  // net index too large
 		"routing m\nroute -1 0 0 0 S 1 0 S H(0,0) H(1,0)\n", // negative net index
+		// A repeated route line would add a vertex and its edges to the
+		// conflict graph.
+		"routing m\nroute 0 0 0 0 S 1 0 S H(0,0) H(1,0)\nroute 0 0 0 0 S 1 0 S H(0,0) H(1,0)\n",
 	}
 	for _, in := range cases {
 		if _, err := ParseRouting(strings.NewReader(in), nl); err == nil {

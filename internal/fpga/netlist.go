@@ -74,21 +74,42 @@ type GlobalRouting struct {
 	Routes  []TwoPinNet
 }
 
-// Validate checks that every route is a connected segment path joining
-// its endpoints' connection blocks, and that every net's sinks are
-// covered by exactly one route each.
+// Validate checks that the routes are exactly the netlist's 2-pin
+// subnets, each routed once: a route's Index names one of its net's
+// sinks, its Src is the net's source and its Dst that sink, and no
+// (Net, Index) pair repeats or is missing. It also checks that every
+// route is a connected segment path joining its endpoints' connection
+// blocks.
 func (gr *GlobalRouting) Validate() error {
-	arch := gr.Netlist.Arch
-	covered := make([]map[Pin]bool, len(gr.Netlist.Nets))
-	for i := range covered {
-		covered[i] = map[Pin]bool{}
+	nl := gr.Netlist
+	arch := nl.Arch
+	// Subnet si of net ni has slot first[ni]+si in routed. Keying on
+	// the index, not the sink pin, keeps two sinks on one pin apart.
+	first := make([]int, len(nl.Nets)+1)
+	for ni, net := range nl.Nets {
+		first[ni+1] = first[ni] + max(len(net.Pins)-1, 0)
 	}
+	routed := make([]bool, first[len(nl.Nets)])
 	for ri, r := range gr.Routes {
-		if r.Net < 0 || r.Net >= len(gr.Netlist.Nets) {
+		if r.Net < 0 || r.Net >= len(nl.Nets) {
 			return fmt.Errorf("fpga: route %d references net %d", ri, r.Net)
 		}
+		net := nl.Nets[r.Net]
+		if r.Index < 0 || r.Index >= len(net.Pins)-1 {
+			return fmt.Errorf("fpga: route %d references subnet %d of net %d (%s), which has %d sinks",
+				ri, r.Index, r.Net, net.Name, len(net.Pins)-1)
+		}
+		if r.Src != net.Pins[0] || r.Dst != net.Pins[1+r.Index] {
+			return fmt.Errorf("fpga: route %d (%s) joins %v to %v, but the subnet joins %v to %v",
+				ri, r.Label(nl), r.Src, r.Dst, net.Pins[0], net.Pins[1+r.Index])
+		}
+		slot := first[r.Net] + r.Index
+		if routed[slot] {
+			return fmt.Errorf("fpga: route %d (%s) routes a subnet a second time", ri, r.Label(nl))
+		}
+		routed[slot] = true
 		if len(r.Segs) == 0 {
-			return fmt.Errorf("fpga: route %d (%s) has no segments", ri, r.Label(gr.Netlist))
+			return fmt.Errorf("fpga: route %d (%s) has no segments", ri, r.Label(nl))
 		}
 		if r.Segs[0] != arch.PinSeg(r.Src) {
 			return fmt.Errorf("fpga: route %d does not start at source pin segment", ri)
@@ -97,24 +118,16 @@ func (gr *GlobalRouting) Validate() error {
 			return fmt.Errorf("fpga: route %d does not end at sink pin segment", ri)
 		}
 		for i := 1; i < len(r.Segs); i++ {
-			adj := false
-			for _, t := range arch.Adjacent(r.Segs[i-1]) {
-				if t == r.Segs[i] {
-					adj = true
-					break
-				}
-			}
-			if !adj {
+			if !arch.adjacent(r.Segs[i-1], r.Segs[i]) {
 				return fmt.Errorf("fpga: route %d hop %d: %s not adjacent to %s", ri, i,
 					arch.SegName(r.Segs[i-1]), arch.SegName(r.Segs[i]))
 			}
 		}
-		covered[r.Net][r.Dst] = true
 	}
-	for ni, net := range gr.Netlist.Nets {
-		for _, sink := range net.Pins[1:] {
-			if !covered[ni][sink] {
-				return fmt.Errorf("fpga: net %d (%s) sink %v has no route", ni, net.Name, sink)
+	for ni, net := range nl.Nets {
+		for si := 0; si < first[ni+1]-first[ni]; si++ {
+			if !routed[first[ni]+si] {
+				return fmt.Errorf("fpga: net %d (%s) sink %d %v has no route", ni, net.Name, si, net.Pins[1+si])
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"fpgasat/internal/coloring"
 	"fpgasat/internal/core"
+	"fpgasat/internal/fpga"
 	"fpgasat/internal/portfolio"
 	"fpgasat/internal/sat"
 )
@@ -108,6 +109,36 @@ func TestRegistryBuildsPinned(t *testing.T) {
 		fmt.Fprintf(h, "l %q\n", g.Labels)
 		if got := hex.EncodeToString(h.Sum(nil)); got != want[in.Name] {
 			t.Errorf("%s: build digest = %s, want %s", in.Name, got, want[in.Name])
+		}
+	}
+}
+
+// TestRouteGlobalAllocsDoNotGrow checks that the router allocates its
+// search state once per call, not once per search: sixteen rip-up
+// iterations may cost at most a quarter more allocations than one.
+func TestRouteGlobalAllocsDoNotGrow(t *testing.T) {
+	for _, name := range []string{"alu2", "k2"} {
+		in, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl, err := fpga.Generate(in.Name, in.Gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(iters int) float64 {
+			opts := in.Route
+			opts.MaxIters = iters
+			return testing.AllocsPerRun(2, func() {
+				if _, _, err := fpga.RouteGlobal(nl, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		one, sixteen := allocs(1), allocs(16)
+		t.Logf("%s: %.0f allocations over 16 iterations, %.0f over 1 (%.2fx)", name, sixteen, one, sixteen/one)
+		if sixteen > 1.25*one {
+			t.Errorf("%s: allocations grew %.2fx from 1 to 16 iterations, limit 1.25x", name, sixteen/one)
 		}
 	}
 }
