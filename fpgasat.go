@@ -146,7 +146,8 @@ type (
 	// SolverClauseSink feeds them straight into a Solver.
 	ClauseSink = core.ClauseSink
 	// StreamedEncoding is the decode bookkeeping of one EncodeCSPInto
-	// run (cubes, variable count, clause census).
+	// run (one encoding template per domain size and a first variable
+	// per vertex, read through Cube; variable count; clause census).
 	StreamedEncoding = core.Streamed
 	// IncrementalEncoding is one encode at width K that serves every
 	// width in [Lo, K] through selector assumptions.

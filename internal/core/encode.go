@@ -16,15 +16,18 @@ import (
 type Streamed struct {
 	Encoding Encoding
 	CSP      *CSP
-	// Cubes[v][c] is the indexing Boolean pattern selecting color c for
-	// vertex v, for c < CSP.Domain[v].
-	Cubes [][]Cube
-	// NumVars is the number of DIMACS variables the encoding allocated.
+	// NumVars is the number of DIMACS variables of the formula: the
+	// encoding's own, plus the selectors of an Incremental.
 	NumVars int
 
 	// Clause census, for the size ablation experiment.
 	StructuralClauses int
 	ConflictClauses   int
+
+	// templates[d] encodes a domain of size d (nil when no vertex has
+	// that size); vertex v's variables follow the first base[v].
+	templates []*template
+	base      []int
 }
 
 // Encoded is the SAT translation of a coloring CSP under a particular
@@ -35,56 +38,179 @@ type Encoded struct {
 	CNF *sat.CNF
 }
 
+// template is the encoding of one domain size, recorded once by running
+// emitVar with the first variable at 1. Every encoding gives a CSP
+// variable one contiguous block of fresh Boolean variables and refers to
+// no others, so the vertex whose block follows the first base variables
+// gets exactly the clauses and cubes emitVar would emit there by
+// shifting every template literal by base.
+type template struct {
+	vars int
+	// clauses holds the structural clauses back to back, clause i
+	// ending at clauseEnd[i]; cube c is cubes[cubeStart[c]:cubeStart[c+1]].
+	clauses   []int
+	clauseEnd []int
+	cubes     []int
+	cubeStart []int
+}
+
+func newTemplate(enc Encoding, d int) *template {
+	t := &template{}
+	a := newAlloc()
+	cubes := enc.emitVar(d, a, t)
+	if len(cubes) != d {
+		panic(fmt.Sprintf("core: encoding %s produced %d cubes for domain %d",
+			enc.Name(), len(cubes), d))
+	}
+	t.vars = a.count()
+	t.cubeStart = make([]int, 1, d+1)
+	for _, c := range cubes {
+		t.cubes = append(t.cubes, c...)
+		t.cubeStart = append(t.cubeStart, len(t.cubes))
+	}
+	return t
+}
+
+// AddClause records one structural clause: the template is the sink
+// emitVar streams into.
+func (t *template) AddClause(lits ...int) {
+	t.clauses = append(t.clauses, lits...)
+	t.clauseEnd = append(t.clauseEnd, len(t.clauses))
+}
+
+func (t *template) cube(c int) []int { return t.cubes[t.cubeStart[c]:t.cubeStart[c+1]] }
+
+// shift moves a template literal onto the block that follows the first
+// base variables.
+func shift(l, base int) int {
+	if l < 0 {
+		return l - base
+	}
+	return l + base
+}
+
+// vertexCubes is one vertex's template placed on its variable block.
+type vertexCubes struct {
+	t    *template
+	base int
+}
+
+func (e *Streamed) vertex(v int) vertexCubes {
+	return vertexCubes{e.templates[e.CSP.Domain[v]], e.base[v]}
+}
+
+// emitClauses streams the vertex's structural clauses into sink,
+// assembling each in buf, and returns the buffer for reuse.
+func (p vertexCubes) emitClauses(buf []int, sink ClauseSink) []int {
+	start := 0
+	for _, end := range p.t.clauseEnd {
+		buf = buf[:0]
+		for _, l := range p.t.clauses[start:end] {
+			buf = append(buf, shift(l, p.base))
+		}
+		sink.AddClause(buf...)
+		start = end
+	}
+	return buf
+}
+
+// appendNegated appends the clause ¬cube(c) to dst.
+func (p vertexCubes) appendNegated(c int, dst []int) []int {
+	for _, l := range p.t.cube(c) {
+		dst = append(dst, -shift(l, p.base))
+	}
+	return dst
+}
+
+// eval is Cube.Eval on cube c.
+func (p vertexCubes) eval(c int, model []bool) bool {
+	for _, l := range p.t.cube(c) {
+		v := abs(l) + p.base
+		if (l > 0) != (v <= len(model) && model[v-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// cube returns cube c as a fresh Cube.
+func (p vertexCubes) cube(c int) Cube {
+	var cube Cube
+	for _, l := range p.t.cube(c) {
+		cube = append(cube, shift(l, p.base))
+	}
+	return cube
+}
+
+// Cube returns the indexing Boolean pattern selecting color c at vertex
+// v, for c < CSP.Domain[v]. It builds the cube afresh from the vertex's
+// template on every call; it is meant for tests and introspection.
+func (e *Streamed) Cube(v, c int) Cube { return e.vertex(v).cube(c) }
+
 // EncodeInto translates the CSP to CNF under the given encoding,
 // streaming every clause into sink: per-variable structural clauses
 // first, then one conflict clause per edge per common domain value (the
-// negated pair of indexing patterns). Clauses are assembled in a scratch
-// buffer reused across calls — sinks copy what they keep, per the
-// ClauseSink contract. This is the hot path of the pipeline — with a
-// sat.SolverSink the clauses go straight into the solver's clause arena
-// with no intermediate garbage.
+// negated pair of indexing patterns). Each distinct domain size is
+// encoded once, into a template, and every vertex is emitted as its
+// template shifted onto its own variable block, so the encode keeps no
+// per-vertex objects. The variable count is known before the first
+// clause: a sink with a DeclareVars method receives it first. Clauses
+// are assembled in a scratch buffer reused across calls — sinks copy
+// what they keep, per the ClauseSink contract. This is the hot path of
+// the pipeline — with a sat.SolverSink the clauses go straight into the
+// solver with no intermediate garbage.
 func EncodeInto(csp *CSP, enc Encoding, sink ClauseSink) *Streamed {
+	return encodeInto(csp, enc, 0, sink)
+}
+
+// encodeInto is EncodeInto for a formula that numbers extra variables
+// after the encoding's own (an Incremental's selectors); the declared
+// count includes them.
+func encodeInto(csp *CSP, enc Encoding, extra int, sink ClauseSink) *Streamed {
+	st := &Streamed{Encoding: enc, CSP: csp, base: make([]int, csp.G.N())}
+	for v := range st.base {
+		d := csp.Domain[v]
+		for len(st.templates) <= d {
+			st.templates = append(st.templates, nil)
+		}
+		if st.templates[d] == nil {
+			st.templates[d] = newTemplate(enc, d)
+		}
+		st.base[v] = st.NumVars
+		st.NumVars += st.templates[d].vars
+	}
+	if vd, ok := sink.(varDeclarer); ok {
+		vd.DeclareVars(st.NumVars + extra)
+	}
 	a := newAlloc()
 	cs := &countingSink{sink: sink}
-	cubes := make([][]Cube, csp.G.N())
-	for v := 0; v < csp.G.N(); v++ {
-		d := csp.Domain[v]
-		vc := enc.emitVar(d, a, cs)
-		if len(vc) != d {
-			panic(fmt.Sprintf("core: encoding %s produced %d cubes for domain %d",
-				enc.Name(), len(vc), d))
-		}
-		cubes[v] = vc
+	for v := range st.base {
+		a.buf = st.vertex(v).emitClauses(a.buf, cs)
 	}
-	structural := cs.n
+	st.StructuralClauses = cs.n
 	if csp.G.Weighted() {
-		emitDistanceConflicts(csp, enc, cubes, a, cs)
+		emitDistanceConflicts(st, a, cs)
 	} else {
 		// Classic disequality: one conflict clause per edge per common
-		// domain value. This loop is kept verbatim — unweighted CSPs must
-		// emit byte-identical clause streams to the pre-distance encoder
-		// (pinned by TestPinnedClauseStreams).
+		// domain value. Unweighted CSPs must emit byte-identical clause
+		// streams to the pre-distance encoder (pinned by
+		// TestPinnedClauseStreams).
 		csp.G.ForEachEdge(func(u, v int) {
 			common := csp.Domain[u]
 			if csp.Domain[v] < common {
 				common = csp.Domain[v]
 			}
+			cu, cv := st.vertex(u), st.vertex(v)
 			for c := 0; c < common; c++ {
-				cl := cubes[u][c].AppendNegated(a.buf[:0])
-				cl = cubes[v][c].AppendNegated(cl)
+				cl := cu.appendNegated(c, a.buf[:0])
+				cl = cv.appendNegated(c, cl)
 				a.buf = cl
 				cs.AddClause(cl...)
 			}
 		})
 	}
-	return &Streamed{
-		Encoding:          enc,
-		CSP:               csp,
-		Cubes:             cubes,
-		NumVars:           a.count(),
-		StructuralClauses: structural,
-		ConflictClauses:   cs.n - structural,
-	}
+	st.ConflictClauses = cs.n - st.StructuralClauses
+	return st
 }
 
 // Encode translates the CSP to CNF under the given encoding into a
@@ -92,9 +218,6 @@ func EncodeInto(csp *CSP, enc Encoding, sink ClauseSink) *Streamed {
 func Encode(csp *CSP, enc Encoding) *Encoded {
 	cnf := &sat.CNF{}
 	st := EncodeInto(csp, enc, cnf)
-	if cnf.NumVars < st.NumVars {
-		cnf.NumVars = st.NumVars
-	}
 	cnf.Comments = append(cnf.Comments,
 		fmt.Sprintf("encoding: %s", enc.Name()),
 		fmt.Sprintf("graph: %d vertices, %d edges, %d colors", csp.G.N(), csp.G.M(), csp.K),
@@ -122,8 +245,9 @@ func (e *Streamed) Decode(model []bool) ([]int, error) {
 	colors := make([]int, e.CSP.G.N())
 	for v := range colors {
 		colors[v] = -1
-		for c, cube := range e.Cubes[v] {
-			if cube.Eval(model) {
+		p := e.vertex(v)
+		for c := 0; c < e.CSP.Domain[v]; c++ {
+			if p.eval(c, model) {
 				colors[v] = c
 				break
 			}

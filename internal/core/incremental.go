@@ -42,7 +42,9 @@ type Incremental struct {
 // and appends the selector machinery covering widths [lo, csp.K]. The
 // CSP should come from BuildCSP at width K; probing any width w in the
 // range is then Assumptions(w) on a solver fed from the same sink. lo
-// is clamped to [1, csp.K].
+// is clamped to [1, csp.K]. The selectors are numbered after the
+// encoding's variables, and the count declared to the sink includes
+// them.
 func EncodeIncremental(csp *CSP, enc Encoding, lo int, sink ClauseSink) *Incremental {
 	if lo < 1 {
 		lo = 1
@@ -50,9 +52,9 @@ func EncodeIncremental(csp *CSP, enc Encoding, lo int, sink ClauseSink) *Increme
 	if lo > csp.K {
 		lo = csp.K
 	}
-	st := EncodeInto(csp, enc, sink)
-	inc := &Incremental{Streamed: st, Lo: lo}
 	n := csp.K - lo
+	st := encodeInto(csp, enc, n, sink)
+	inc := &Incremental{Streamed: st, Lo: lo}
 	if n == 0 {
 		return inc
 	}
@@ -78,9 +80,9 @@ func EncodeIncremental(csp *CSP, enc Encoding, lo int, sink ClauseSink) *Increme
 			}
 			buf = append(buf[:0], -sel)
 			if guard != nil {
-				buf = guard.guardLits(st.Cubes[v], w, buf)
+				buf = guard.guardLits(st.vertex(v), w, buf)
 			} else {
-				buf = st.Cubes[v][w].AppendNegated(buf)
+				buf = st.vertex(v).appendNegated(w, buf)
 			}
 			cs.AddClause(buf...)
 		}

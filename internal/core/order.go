@@ -44,9 +44,9 @@ func (orderEncoding) emitVar(d int, a *alloc, sink ClauseSink) []Cube {
 }
 
 // geLit recovers the DIMACS literal of ge[i] (value >= i, 1 <= i <= d-1)
-// from the cube list emitVar produced: the cube for value i >= 1 leads
-// with the positive ge[i] literal.
-func geLit(cubes []Cube, i int) int { return cubes[i][0] }
+// from a vertex's cubes: the cube for value i >= 1 leads with the
+// positive ge[i] literal.
+func geLit(cubes vertexCubes, i int) int { return shift(cubes.t.cube(i)[0], cubes.base) }
 
 // emitDistance emits the interval form of |x-y| >= dist over the order
 // literals of both endpoints: for every length-dist window [w, w+dist)
@@ -58,7 +58,7 @@ func geLit(cubes []Cube, i int) int { return cubes[i][0] }
 // boundary literals dropped. min(du,dv) clauses of at most 4 literals,
 // independent of dist. Singleton domains fall back to the generic
 // pairwise emitter, which handles constant values directly.
-func (orderEncoding) emitDistance(cu, cv []Cube, du, dv, dist int, a *alloc, sink ClauseSink) bool {
+func (orderEncoding) emitDistance(cu, cv vertexCubes, du, dv, dist int, a *alloc, sink ClauseSink) bool {
 	if du < 2 || dv < 2 {
 		return false
 	}
@@ -91,7 +91,7 @@ func (orderEncoding) emitDistance(cu, cv []Cube, du, dv, dist int, a *alloc, sin
 // color >= w at once (the ladder clauses propagate ¬ge[w] upward), so
 // the order encoding needs one 2-literal guard clause per (width,
 // vertex) where cube encodings need a full negated cube.
-func (orderEncoding) guardLits(cubes []Cube, w int, buf []int) []int {
+func (orderEncoding) guardLits(cubes vertexCubes, w int, buf []int) []int {
 	return append(buf, -geLit(cubes, w))
 }
 
@@ -100,13 +100,13 @@ func (orderEncoding) guardLits(cubes []Cube, w int, buf []int) []int {
 // generic pairwise emitter. Implementations return false to fall back
 // (e.g. for singleton domains).
 type distanceEncoding interface {
-	emitDistance(cu, cv []Cube, du, dv, dist int, a *alloc, sink ClauseSink) bool
+	emitDistance(cu, cv vertexCubes, du, dv, dist int, a *alloc, sink ClauseSink) bool
 }
 
 // incrementalGuard is the optional interface an Encoding implements to
 // shorten EncodeIncremental's per-vertex width guards (see guardLits).
 type incrementalGuard interface {
-	guardLits(cubes []Cube, w int, buf []int) []int
+	guardLits(cubes vertexCubes, w int, buf []int) []int
 }
 
 // emitDistanceConflicts emits the conflict clauses of a weighted
@@ -117,11 +117,13 @@ type incrementalGuard interface {
 // values of v in (a-d, a+d) — which at d=1 degenerates to exactly the
 // classic per-common-value loop. This is what makes the distance-aware
 // direct and log variants fall out of the existing cube machinery.
-func emitDistanceConflicts(csp *CSP, enc Encoding, cubes [][]Cube, a *alloc, cs ClauseSink) {
-	de, _ := enc.(distanceEncoding)
+func emitDistanceConflicts(st *Streamed, a *alloc, cs ClauseSink) {
+	de, _ := st.Encoding.(distanceEncoding)
+	csp := st.CSP
 	csp.G.ForEachWeightedEdge(func(u, v, d int) {
 		du, dv := csp.Domain[u], csp.Domain[v]
-		if de != nil && de.emitDistance(cubes[u], cubes[v], du, dv, d, a, cs) {
+		pu, pv := st.vertex(u), st.vertex(v)
+		if de != nil && de.emitDistance(pu, pv, du, dv, d, a, cs) {
 			return
 		}
 		for cu := 0; cu < du; cu++ {
@@ -134,8 +136,8 @@ func emitDistanceConflicts(csp *CSP, enc Encoding, cubes [][]Cube, a *alloc, cs 
 				hi = dv - 1
 			}
 			for cv := lo; cv <= hi; cv++ {
-				cl := cubes[u][cu].AppendNegated(a.buf[:0])
-				cl = cubes[v][cv].AppendNegated(cl)
+				cl := pu.appendNegated(cu, a.buf[:0])
+				cl = pv.appendNegated(cv, cl)
 				a.buf = cl
 				cs.AddClause(cl...)
 			}

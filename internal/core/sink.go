@@ -13,12 +13,21 @@ package core
 // from the encode hot path: the common sinks — a solver's watch lists,
 // a counting sink — never needed ownership of the slice.) Sinks must
 // accept clauses over variables they have not seen before (DIMACS
-// indices are allocated densely from 1 by the encoder). The two
+// indices are allocated densely from 1 by the encoder). A sink may also
+// implement DeclareVars(n int): the encoder then calls it once, before
+// the first clause, with the formula's variable count, so the sink can
+// size its tables once instead of growing them clause by clause. The two
 // production sinks are *sat.CNF (buffering; copies each clause) and
 // sat.SolverSink (streams straight into an incremental solver, which
-// copies literals into its clause arena).
+// copies literals into its clause arena); both take the declaration.
 type ClauseSink interface {
 	AddClause(lits ...int)
+}
+
+// varDeclarer is the optional ClauseSink method that receives the
+// formula's variable count before its first clause.
+type varDeclarer interface {
+	DeclareVars(n int)
 }
 
 // clauseCollector is a ClauseSink that materializes the emitted clauses,

@@ -57,8 +57,8 @@ func TestEncodeClauseStreamMatchesEdgeListReference(t *testing.T) {
 					common = csp.Domain[v]
 				}
 				for c := 0; c < common; c++ {
-					cl := st.Cubes[u][c].AppendNegated(nil)
-					cl = st.Cubes[v][c].AppendNegated(cl)
+					cl := st.Cube(u, c).AppendNegated(nil)
+					cl = st.Cube(v, c).AppendNegated(cl)
 					want = append(want, cl)
 				}
 			}

@@ -85,7 +85,8 @@ func BalancedShape(d int) *TreeNode {
 // RandomShape returns a TreeShape drawing a uniformly random split at
 // every node from rng — used by the tree-shape ablation to show that
 // shape changes value-selection probabilities without changing
-// satisfiability.
+// satisfiability. Each call draws a new tree; an encode calls the shape
+// once per domain size, so the vertices of one size share one tree.
 func RandomShape(rng *rand.Rand) TreeShape {
 	var build func(d int) *TreeNode
 	build = func(d int) *TreeNode {
@@ -109,9 +110,11 @@ type treeEncoding struct {
 }
 
 // NewITETree returns an encoding built from an arbitrary ITE-tree
-// shape. The shape is validated lazily per domain size; a shape with
-// the wrong number of leaves causes Encode to panic, since that is a
-// programming error in the shape function.
+// shape. An encode calls the shape once per distinct domain size, and
+// every vertex with that domain size gets that tree. The shape is
+// validated when it is called; a shape with the wrong number of leaves
+// causes Encode to panic, since that is a programming error in the
+// shape function.
 func NewITETree(name string, shape TreeShape) Encoding {
 	return treeEncoding{name: name, shape: shape}
 }

@@ -33,6 +33,15 @@ func (c *CNF) AddClause(lits ...int) {
 	c.Clauses = append(c.Clauses, append([]int(nil), lits...))
 }
 
+// DeclareVars raises NumVars to n: the clause-sink declaration (see
+// core.ClauseSink) through which an encoder states the formula's
+// variable count before its first clause.
+func (c *CNF) DeclareVars(n int) {
+	if n > c.NumVars {
+		c.NumVars = n
+	}
+}
+
 // NumClauses returns the number of clauses.
 func (c *CNF) NumClauses() int { return len(c.Clauses) }
 
@@ -72,9 +81,7 @@ func abs(x int) int {
 // variables first so that variable numbering matches the DIMACS file
 // (DIMACS variable i is solver Var(i-1)).
 func (s *Solver) Load(c *CNF) bool {
-	for s.NumVars() < c.NumVars {
-		s.NewVar()
-	}
+	s.ensureVars(c.NumVars)
 	for _, cl := range c.Clauses {
 		if !s.AddDimacsClause(cl...) {
 			return false

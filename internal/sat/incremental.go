@@ -149,3 +149,9 @@ type SolverSink struct{ S *Solver }
 
 // AddClause implements the clause-sink contract over AddDimacsClause.
 func (ss SolverSink) AddClause(lits ...int) { ss.S.AddDimacsClause(lits...) }
+
+// DeclareVars takes the encoder's variable count ahead of the clauses:
+// it creates variables up to n as Load does, growing the solver's
+// per-variable and per-literal tables once rather than one variable at
+// a time.
+func (ss SolverSink) DeclareVars(n int) { ss.S.ensureVars(n) }

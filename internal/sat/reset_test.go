@@ -99,6 +99,38 @@ func TestAddClauseAllocationFree(t *testing.T) {
 	}
 }
 
+// TestLoadAllocsIndependentOfVars: Load grows every per-variable and
+// per-literal table once, to the formula's variable count, so loading N
+// variables takes the same number of allocations at any N. A Reset
+// solver that grows past its retained tables keeps the per-literal
+// lists it retained.
+func TestLoadAllocsIndependentOfVars(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(2, func() { New(Options{}).Load(&CNF{NumVars: n}) })
+	}
+	small, large := allocs(1000), allocs(100000)
+	t.Logf("Load of an empty formula: %.0f allocations at 1,000 variables, %.0f at 100,000", small, large)
+	if small != large {
+		t.Errorf("Load makes %.0f allocations at 100,000 variables against %.0f at 1,000", large, small)
+	}
+	s := New(Options{})
+	s.Load(&CNF{NumVars: 1000})
+	if cap(s.assigns) != 1000 || cap(s.activity) != 1000 || cap(s.watches) != 2000 || cap(s.bins) != 2000 {
+		t.Errorf("tables sized %d/%d/%d/%d, want 1000/1000/2000/2000",
+			cap(s.assigns), cap(s.activity), cap(s.watches), cap(s.bins))
+	}
+
+	s = New(Options{})
+	f := php(8, 7)
+	s.Load(f)
+	kept := s.ArenaStats().WatchCapWords
+	s.Reset(Options{})
+	s.Load(&CNF{NumVars: 4 * f.NumVars})
+	if got := s.ArenaStats().WatchCapWords; got != kept {
+		t.Errorf("growing a Reset solver kept %d words of per-literal lists, want %d", got, kept)
+	}
+}
+
 // TestGarbageCollection forces reduceDB deletions until the arena
 // compacts, and checks both the accounting and the verdict.
 func TestGarbageCollection(t *testing.T) {

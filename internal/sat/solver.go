@@ -334,11 +334,43 @@ func extendLitLists[T any](lists [][]T) [][]T {
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
-// ensureVars grows the variable table so that v is valid.
-func (s *Solver) ensureVars(v Var) {
-	for Var(len(s.assigns)) <= v {
+// ensureVars creates variables until the solver has n. Tables without
+// room for n variables grow once, to exactly n (2n per-literal lists),
+// instead of once per append; the variables are then created one by
+// one, in index order, exactly as repeated NewVar calls create them.
+func (s *Solver) ensureVars(n int) {
+	if n <= len(s.assigns) {
+		return
+	}
+	if n > maxVars {
+		panic("sat: variable limit exceeded")
+	}
+	s.assigns = grown(s.assigns, n)
+	s.polarity = grown(s.polarity, n)
+	s.level = grown(s.level, n)
+	s.reason = grown(s.reason, n)
+	s.activity = grown(s.activity, n)
+	s.seen = grown(s.seen, n)
+	s.trail = grown(s.trail, n)
+	s.watches = grown(s.watches, 2*n)
+	s.bins = grown(s.bins, 2*n)
+	s.order.heap = grown(s.order.heap, n)
+	s.order.indices = grown(s.order.indices, n)
+	for len(s.assigns) < n {
 		s.NewVar()
 	}
+}
+
+// grown returns s with room for n elements, reallocating to a capacity
+// of exactly n when it has less. Elements between the length and the old
+// capacity are kept: after a Reset they hold retained per-literal lists.
+func grown[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
+	}
+	t := make([]T, len(s), n)
+	copy(t[:cap(s)], s[:cap(s)])
+	return t
 }
 
 func (s *Solver) value(l Lit) int8 {
@@ -371,7 +403,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	out := ls[:0]
 	var prev Lit = LitUndef
 	for _, l := range ls {
-		s.ensureVars(l.Var())
+		for Var(len(s.assigns)) <= l.Var() {
+			s.NewVar() // undeclared variables come one at a time
+		}
 		switch {
 		case s.value(l) == lTrue || l == prev.Neg() && prev != LitUndef:
 			return true // satisfied or tautological
@@ -940,7 +974,7 @@ func (s *Solver) solveWith(assumps []Lit) Status {
 	s.conflictCore = nil
 	s.assumptions = s.assumptions[:0]
 	for _, p := range assumps {
-		s.ensureVars(p.Var())
+		s.ensureVars(int(p.Var()) + 1)
 		s.assumptions = append(s.assumptions, p)
 	}
 	if !s.ok {
