@@ -98,7 +98,7 @@ func BenchmarkTable2(b *testing.B) {
 				b.ReportAllocs()
 				var conflicts int64
 				for i := 0; i < b.N; i++ {
-					t := experiments.RunStrategy(g, w, s, 0, 0, nil)
+					t := experiments.RunStrategy(g, w, s, sat.Options{}, 0, 0, nil)
 					if t.Status != sat.Unsat {
 						b.Fatalf("got %v, want Unsat", t.Status)
 					}
@@ -121,7 +121,7 @@ func BenchmarkRoutable(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/W=%d/%s", in.Name, in.RoutableW, encName), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				t := experiments.RunStrategy(g, in.RoutableW, s, 0, 0, nil)
+				t := experiments.RunStrategy(g, in.RoutableW, s, sat.Options{}, 0, 0, nil)
 				if t.Status != sat.Sat {
 					b.Fatalf("got %v, want Sat", t.Status)
 				}
@@ -139,7 +139,7 @@ func BenchmarkPortfolio(b *testing.B) {
 	single := mustStrategy(b, "ITE-linear-2+muldirect/s1")
 	b.Run("single/"+single.Name(), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if t := experiments.RunStrategy(g, w, single, 0, 0, nil); t.Status != sat.Unsat {
+			if t := experiments.RunStrategy(g, w, single, sat.Options{}, 0, 0, nil); t.Status != sat.Unsat {
 				b.Fatal(t.Status)
 			}
 		}

@@ -29,7 +29,6 @@ import (
 	"fpgasat/internal/experiments"
 	"fpgasat/internal/mcnc"
 	"fpgasat/internal/obs"
-	"fpgasat/internal/symmetry"
 )
 
 func main() {
@@ -172,6 +171,12 @@ func run() (status int) {
 	if *quick && len(insts) > 2 {
 		insts = insts[:2]
 	}
+	// runGrid runs one of the five grid studies with the run's timeout,
+	// progress and solver pool.
+	runGrid := func(g experiments.Grid) (*experiments.GridResult, error) {
+		g.Timeout, g.Progress, g.Pool = *timeout, progress, pool
+		return experiments.RunGrid(g)
+	}
 
 	fmt.Printf("# fpgasat experiment run (%s)\n\n", time.Now().Format(time.RFC3339))
 	if *table1 {
@@ -186,24 +191,19 @@ func run() (status int) {
 	}
 	if *table2 {
 		start := time.Now()
-		r, err := experiments.RunTable2(experiments.Table2Config{
-			Instances: insts, Timeout: *timeout, Progress: progress, Pool: pool,
-		})
+		r, err := runGrid(experiments.Table2Grid(insts))
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Println(r.Markdown())
-		fmt.Printf("Best single strategy: **%s** (total %s). Symmetry wins per heuristic: %v. Run time %s.\n\n",
-			r.Columns[r.Best()], r.Totals[r.Best()], r.SymmetryWins(), time.Since(start).Round(time.Second))
+		fmt.Println(r.Table2Markdown())
+		fmt.Printf("%s Run time %s.\n\n", r.Table2Summary(), time.Since(start).Round(time.Second))
 	}
 	if *routable {
-		r, err := experiments.RunRoutable(experiments.RoutableConfig{
-			Instances: insts, Timeout: *timeout, Progress: progress, Pool: pool,
-		})
+		r, err := runGrid(experiments.RoutableGrid(insts))
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Println(r.Markdown())
+		fmt.Println(r.RoutableMarkdown())
 		fmt.Printf("Spread (slowest/fastest encoding total): %.1f×\n\n", r.Spread())
 	}
 	if *portfolio {
@@ -264,26 +264,18 @@ func run() (status int) {
 		fmt.Println(r.Markdown())
 	}
 	if *solvers {
-		cfgInsts := insts
-		if len(cfgInsts) > 4 {
-			cfgInsts = cfgInsts[:4]
-		}
-		r, err := experiments.RunSolverCompare(experiments.SolverCompareConfig{
-			Instances: cfgInsts, Timeout: *timeout, Progress: progress, Pool: pool,
-		})
+		r, err := runGrid(experiments.SolverGrid(insts))
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Println(r.Markdown())
+		fmt.Println(r.SolverMarkdown())
 	}
 	if *trees {
-		r, err := experiments.RunTreeAblation(experiments.TreeAblationConfig{
-			Instance: insts[0], Symmetry: symmetry.S1, Timeout: *timeout, Progress: progress, Pool: pool,
-		})
+		r, err := runGrid(experiments.TreeGrid(insts[0]))
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Println(r.Markdown())
+		fmt.Println(r.TreeMarkdown())
 	}
 	if *baselines {
 		r, err := experiments.RunBaselines(insts)
@@ -293,15 +285,11 @@ func run() (status int) {
 		fmt.Println(r.Markdown())
 	}
 	if *symAbl {
-		r, err := experiments.RunSymmetryAblation(experiments.SymmetryAblationConfig{
-			Instances: insts, Timeout: *timeout, Progress: progress, Pool: pool,
-		})
+		r, err := runGrid(experiments.SymmetryGrid(insts))
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Println("### Symmetry-heuristic ablation (fixed encoding ITE-linear-2+muldirect)")
-		fmt.Println()
-		fmt.Println(r.Markdown())
+		fmt.Println(r.SymmetryMarkdown())
 	}
 	if *calibrate {
 		r, err := experiments.RunCalibrate(experiments.CalibrateConfig{

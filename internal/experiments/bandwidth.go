@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -38,16 +37,16 @@ type BandwidthConfig struct {
 // MinWidth staircase — encode once at Hi, probe every width down to
 // the proved minimum.
 type BandwidthRow struct {
-	Instance  string `json:"instance"`
-	Crosstalk int    `json:"crosstalk"`
-	Encoding  string `json:"encoding"`
-	MinWidth  int    `json:"min_width"`
-	SearchNS  int64  `json:"search_ns"`
-	EncodeNS  int64  `json:"encode_ns"`
-	Conflicts int64  `json:"conflicts"`
-	Probes    int    `json:"probes"`
-	Clauses   int64  `json:"clauses"`
-	Vars      int    `json:"vars"`
+	Instance  string
+	Crosstalk int
+	Encoding  string
+	MinWidth  int
+	SearchNS  int64
+	EncodeNS  int64
+	Conflicts int64
+	Probes    int
+	Clauses   int64
+	Vars      int
 }
 
 // BandwidthResult aggregates the study for Markdown and JSON output
@@ -56,13 +55,6 @@ type BandwidthResult struct {
 	Encodings []string
 	Rows      []BandwidthRow
 }
-
-// countingSink counts clauses on the way into another sink-free encode
-// pass; the study re-encodes once outside the timed search to report
-// formula sizes.
-type countingSink struct{ clauses int64 }
-
-func (s *countingSink) AddClause(lits ...int) { s.clauses++ }
 
 // RunBandwidth solves every distance instance to its proved minimum
 // span with every bandwidth encoding, verifying each result against
@@ -87,11 +79,7 @@ func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			ctx := context.Background()
-			cancel := context.CancelFunc(func() {})
-			if cfg.Timeout > 0 {
-				ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-			}
+			ctx, cancel := withTimeout(cfg.Timeout)
 			start := time.Now()
 			sr, err := search.MinWidth(ctx, g, search.Options{
 				Strategy: strat,
@@ -113,13 +101,12 @@ func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
 			}
 			// Formula size at the search's upper bound, measured outside
 			// the timed section.
-			sink := &countingSink{}
-			st := core.EncodeInto(core.NewCSP(g, in.RoutableW+2), strat.Encoding, sink)
+			st := core.EncodeInto(core.NewCSP(g, in.RoutableW+2), strat.Encoding, discard{})
 			row := BandwidthRow{
 				Instance: in.Name, Crosstalk: in.Crosstalk, Encoding: encName,
 				MinWidth: sr.MinWidth, SearchNS: elapsed.Nanoseconds(),
 				EncodeNS: sr.EncodeTime.Nanoseconds(), Conflicts: conflicts,
-				Probes: len(sr.Probes), Clauses: sink.clauses, Vars: st.NumVars,
+				Probes: len(sr.Probes), Clauses: int64(st.StructuralClauses + st.ConflictClauses), Vars: st.NumVars,
 			}
 			res.Rows = append(res.Rows, row)
 			if cfg.Progress != nil {

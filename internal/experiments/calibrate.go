@@ -86,9 +86,9 @@ func RunCalibrate(cfg CalibrateConfig) (*CalibrateResult, error) {
 		}
 		row := CalibrateRow{
 			Instance: in.Name, V: g.N(), E: g.M(), RoutableW: in.RoutableW, Chi: chi,
-			UnsatFast: RunStrategy(g, chi.Chi-1, fast, 0, cfg.Timeout, cfg.Pool),
-			UnsatSlow: RunStrategy(g, chi.Chi-1, slow, 0, cfg.Timeout, cfg.Pool),
-			SatFast:   RunStrategy(g, chi.Chi, fast, 0, cfg.Timeout, cfg.Pool),
+			UnsatFast: RunStrategy(g, chi.Chi-1, fast, sat.Options{}, 0, cfg.Timeout, cfg.Pool),
+			UnsatSlow: RunStrategy(g, chi.Chi-1, slow, sat.Options{}, 0, cfg.Timeout, cfg.Pool),
+			SatFast:   RunStrategy(g, chi.Chi, fast, sat.Options{}, 0, cfg.Timeout, cfg.Pool),
 		}
 		res.Rows = append(res.Rows, row)
 		if cfg.Progress != nil {
@@ -133,7 +133,7 @@ func (r *CalibrateResult) Markdown() string {
 // timingCell renders a single-shot solve time, appending the answer
 // when it is definite but not the expected one.
 func timingCell(t Timing, want sat.Status) string {
-	cell := fmtDur(t.Total(), t.Status == sat.Unknown)
+	cell := fmtCell(t, Timing.Total)
 	if t.Status != want && t.Status != sat.Unknown {
 		cell += " (" + t.Status.String() + "!)"
 	}

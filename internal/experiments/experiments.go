@@ -4,6 +4,10 @@
 // study), plus an encoding-size ablation. Results are rendered as
 // Markdown so they can be diffed against EXPERIMENTS.md.
 //
+// Table 2, the routable configurations and the symmetry, solver-profile
+// and tree-shape ablations are one Grid each (instances × sides ×
+// columns), run by RunGrid and rendered by a view of the GridResult.
+//
 // Three more studies maintain the benchmark suite itself: RunCalibrate
 // re-measures every instance's RoutableW, RunSeedScan reproduces the
 // choice of the Table-2 generator seeds, and RunExport writes each
@@ -38,25 +42,21 @@ type Timing struct {
 // Total returns the end-to-end time, the quantity Table 2 reports.
 func (t Timing) Total() time.Duration { return t.Translate + t.Encode + t.Solve }
 
-// RunStrategy times one strategy on a prebuilt conflict graph. The
-// translate duration is supplied by the caller (it is shared across
-// strategies, but the paper charges it to every run, so we do too).
-// A zero timeout means no timeout. pool, when non-nil, supplies the
-// solver, so a sweep reuses clause-arena and watch-list capacity
-// between runs; nil solves on a fresh solver.
-func RunStrategy(g *graph.Graph, k int, s core.Strategy, translate time.Duration, timeout time.Duration, pool *sat.Pool) Timing {
+// RunStrategy times one strategy on a prebuilt conflict graph, solved
+// with the given solver options. The translate duration is supplied by
+// the caller (it is shared across strategies, but the paper charges it
+// to every run, so we do too). A zero timeout means no timeout. pool,
+// when non-nil, supplies the solver, so a sweep reuses clause-arena and
+// watch-list capacity between runs; nil solves on a fresh solver.
+func RunStrategy(g *graph.Graph, k int, s core.Strategy, opts sat.Options, translate, timeout time.Duration, pool *sat.Pool) Timing {
 	encStart := time.Now()
 	enc := s.EncodeGraph(g, k)
 	encDur := time.Since(encStart)
 
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := withTimeout(timeout)
+	defer cancel()
 	solveStart := time.Now()
-	res := sat.SolveCNFReusing(ctx, pool, enc.CNF, sat.Options{})
+	res := sat.SolveCNFReusing(ctx, pool, enc.CNF, opts)
 	solveDur := time.Since(solveStart)
 
 	// For satisfiable results, decoding and verification are part of
@@ -76,6 +76,15 @@ func RunStrategy(g *graph.Graph, k int, s core.Strategy, translate time.Duration
 		Vars:      enc.CNF.NumVars,
 		Clauses:   enc.CNF.NumClauses(),
 	}
+}
+
+// withTimeout returns a context that expires after d, or never when d
+// is 0.
+func withTimeout(d time.Duration) (context.Context, context.CancelFunc) {
+	if d > 0 {
+		return context.WithTimeout(context.Background(), d)
+	}
+	return context.Background(), func() {}
 }
 
 // BuildInstance regenerates an instance's conflict graph, returning it
@@ -106,6 +115,12 @@ func fmtDur(d time.Duration, timedOut bool) string {
 	default:
 		return fmt.Sprintf("%s%.2f", prefix, s)
 	}
+}
+
+// fmtCell renders the time cellTime picks from a solve, marked ">"
+// when the solve timed out.
+func fmtCell(t Timing, cellTime func(Timing) time.Duration) string {
+	return fmtDur(cellTime(t), t.Status == sat.Unknown)
 }
 
 // markdownTable renders rows as a Markdown table with the given

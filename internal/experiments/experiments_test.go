@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -112,32 +113,28 @@ func quickInstances(t *testing.T) []mcnc.Instance {
 
 func TestTable2Smoke(t *testing.T) {
 	cols := []string{"muldirect/-", "muldirect/s1", "ITE-log/s1", "ITE-linear-2+muldirect/s1"}
-	r, err := RunTable2(Table2Config{
-		Instances: quickInstances(t),
-		Columns:   cols,
-		Timeout:   2 * time.Minute,
-	})
+	g := Table2Grid(quickInstances(t))
+	g.Columns = strategyColumns(cols...)
+	g.Timeout = 2 * time.Minute
+	r, err := RunGrid(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Instances) != 2 || len(r.Cells[0]) != len(cols) {
-		t.Fatalf("grid shape wrong: %dx%d", len(r.Instances), len(r.Cells[0]))
+	if len(r.Instances) != 2 || len(r.Cells[0][0]) != len(cols) {
+		t.Fatalf("grid shape wrong: %dx%d", len(r.Instances), len(r.Cells[0][0]))
 	}
 	for ii := range r.Cells {
-		for ci, c := range r.Cells[ii] {
-			if c.Timing.Status != sat.Unsat {
-				t.Errorf("%s %s: %v, want Unsat", r.Instances[ii], cols[ci], c.Timing.Status)
+		for ci, c := range r.Cells[ii][0] {
+			if c.Status != sat.Unsat {
+				t.Errorf("%s %s: %v, want Unsat", r.Instances[ii], cols[ci], c.Status)
 			}
-			if c.Timing.Total() <= 0 {
+			if c.Total() <= 0 {
 				t.Errorf("nonpositive total time")
 			}
 		}
 	}
-	if r.Speedups[0] != 1.0 {
-		t.Errorf("baseline speedup %v", r.Speedups[0])
-	}
-	md := r.Markdown()
-	for _, want := range []string{"Table 2", "**Total**", "**Speedup vs muldirect/-**", "term1"} {
+	md := r.Table2Markdown()
+	for _, want := range []string{"Table 2", "**Total**", "**Speedup vs muldirect/-** | 1.00× |", "term1"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q", want)
 		}
@@ -152,17 +149,15 @@ func TestTable2Smoke(t *testing.T) {
 }
 
 func TestRoutableSmoke(t *testing.T) {
-	r, err := RunRoutable(RoutableConfig{
-		Instances: quickInstances(t),
-		Encodings: []string{"muldirect", "ITE-log", "ITE-linear-2+muldirect"},
-		Symmetry:  "s1",
-		Timeout:   2 * time.Minute,
-	})
+	g := RoutableGrid(quickInstances(t))
+	g.Columns = strategyColumns("muldirect", "ITE-log", "ITE-linear-2+muldirect")
+	g.Timeout = 2 * time.Minute
+	r, err := RunGrid(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ii := range r.Times {
-		for _, tm := range r.Times[ii] {
+	for ii := range r.Cells {
+		for _, tm := range r.Cells[ii][0] {
 			if tm.Status != sat.Sat {
 				t.Errorf("routable run returned %v", tm.Status)
 			}
@@ -171,8 +166,36 @@ func TestRoutableSmoke(t *testing.T) {
 	if r.Spread() < 1 {
 		t.Errorf("spread %v < 1", r.Spread())
 	}
-	if !strings.Contains(r.Markdown(), "Routable configurations") {
+	if !strings.Contains(r.RoutableMarkdown(), "Routable configurations") {
 		t.Error("markdown missing header")
+	}
+}
+
+// TestGridCalibrationBroken checks the one calibration check every
+// grid study goes through: a definite answer that contradicts its side
+// fails the run, naming the instance and the width.
+func TestGridCalibrationBroken(t *testing.T) {
+	term1, err := mcnc.ByName("term1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	routableAtWm1, unroutableAtW := term1, term1
+	routableAtWm1.RoutableW++ // W-1 is the true chi: Sat
+	unroutableAtW.RoutableW-- // W is below the true chi: Unsat
+	for _, tc := range []struct {
+		grid Grid
+		w    int
+	}{
+		{Table2Grid([]mcnc.Instance{routableAtWm1}), term1.RoutableW},
+		{RoutableGrid([]mcnc.Instance{unroutableAtW}), term1.RoutableW - 1},
+	} {
+		_, err := RunGrid(tc.grid)
+		if err == nil {
+			t.Fatalf("miscalibrated term1 passed at W=%d", tc.w)
+		}
+		if !strings.Contains(err.Error(), "term1") || !strings.Contains(err.Error(), fmt.Sprintf("W=%d ", tc.w)) {
+			t.Errorf("error %q does not name term1 and W=%d", err, tc.w)
+		}
 	}
 }
 
@@ -248,7 +271,7 @@ func TestRunStrategyTimeout(t *testing.T) {
 	}
 	s := mustStrategy(t, "muldirect/-")
 	var pool sat.Pool
-	tm := RunStrategy(g, in.UnroutableW(), s, translate, time.Millisecond, &pool)
+	tm := RunStrategy(g, in.UnroutableW(), s, sat.Options{}, translate, time.Millisecond, &pool)
 	if tm.Status == sat.Sat {
 		t.Fatal("unsat instance reported Sat")
 	}
@@ -280,22 +303,23 @@ func mustStrategy(t *testing.T, s string) core.Strategy {
 }
 
 func TestSolverCompareSmoke(t *testing.T) {
-	r, err := RunSolverCompare(SolverCompareConfig{
-		Instances: quickInstances(t),
-		Timeout:   2 * time.Minute,
-	})
+	g := SolverGrid(quickInstances(t))
+	g.Timeout = 2 * time.Minute
+	r, err := RunGrid(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Profiles) < 2 || len(r.Instances) != 2 {
-		t.Fatalf("shape: %v %v", r.Profiles, r.Instances)
+	if len(r.Columns) < 2 || len(r.Instances) != 2 {
+		t.Fatalf("shape: %v %v", r.Columns, r.Instances)
 	}
-	for pi := range r.Profiles {
-		if r.UnsatTotal[pi] <= 0 || r.SatTotal[pi] <= 0 {
+	unsatTotal, _ := r.columnTotals(0, solveTime)
+	satTotal, _ := r.columnTotals(1, solveTime)
+	for pi := range r.Columns {
+		if unsatTotal[pi] <= 0 || satTotal[pi] <= 0 {
 			t.Fatal("nonpositive totals")
 		}
 	}
-	if !strings.Contains(r.Markdown(), "Solver-profile comparison") {
+	if !strings.Contains(r.SolverMarkdown(), "Solver-profile comparison") {
 		t.Error("markdown missing header")
 	}
 }
@@ -305,39 +329,35 @@ func TestTreeAblationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunTreeAblation(TreeAblationConfig{
-		Instance:    in,
-		RandomTrees: 2,
-		Symmetry:    symmetry.S1,
-		Timeout:     2 * time.Minute,
-	})
+	g := TreeGrid(in)
+	g.Timeout = 2 * time.Minute
+	r, err := RunGrid(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Shapes) != 4 {
-		t.Fatalf("%d shapes, want 4 (linear, balanced, 2 random)", len(r.Shapes))
+	if len(r.Columns) != 5 {
+		t.Fatalf("%d shapes, want 5 (linear, balanced, 3 random)", len(r.Columns))
 	}
-	if !strings.Contains(r.Markdown(), "ITE-tree shape ablation") {
+	if !strings.Contains(r.TreeMarkdown(), "ITE-tree shape ablation") {
 		t.Error("markdown missing header")
 	}
 }
 
 func TestSymmetryAblationSmoke(t *testing.T) {
-	r, err := RunSymmetryAblation(SymmetryAblationConfig{
-		Instances: quickInstances(t),
-		Encoding:  "ITE-log",
-		Timeout:   2 * time.Minute,
-	})
+	g := SymmetryGrid(quickInstances(t))
+	g.Timeout = 2 * time.Minute
+	r, err := RunGrid(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Columns) != 4 {
 		t.Fatalf("columns: %v", r.Columns)
 	}
-	for _, col := range []string{"ITE-log/-", "ITE-log/b1", "ITE-log/s1", "ITE-log/c1"} {
+	for _, col := range []string{"ITE-linear-2+muldirect/-", "ITE-linear-2+muldirect/b1",
+		"ITE-linear-2+muldirect/s1", "ITE-linear-2+muldirect/c1"} {
 		found := false
 		for _, c := range r.Columns {
-			if c == col {
+			if c.Name == col {
 				found = true
 			}
 		}
@@ -346,8 +366,8 @@ func TestSymmetryAblationSmoke(t *testing.T) {
 		}
 	}
 	for ii := range r.Cells {
-		for _, c := range r.Cells[ii] {
-			if c.Timing.Status == sat.Sat {
+		for _, c := range r.Cells[ii][0] {
+			if c.Status == sat.Sat {
 				t.Error("ablation instance unexpectedly satisfiable")
 			}
 		}
@@ -383,18 +403,17 @@ func TestTable2TimeoutRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunTable2(Table2Config{
-		Instances: []mcnc.Instance{in},
-		Columns:   []string{"muldirect/-", "ITE-log/s1"},
-		Timeout:   10 * time.Millisecond,
-	})
+	g := Table2Grid([]mcnc.Instance{in})
+	g.Columns = strategyColumns("muldirect/-", "ITE-log/s1")
+	g.Timeout = 10 * time.Millisecond
+	r, err := RunGrid(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.AnyCapped[0] {
+	if r.Cells[0][0][0].Status != sat.Unknown {
 		t.Skip("baseline finished within 10ms; cannot exercise timeout rendering")
 	}
-	md := r.Markdown()
+	md := r.Table2Markdown()
 	if !strings.Contains(md, ">") {
 		t.Fatalf("capped-cell marker missing:\n%s", md)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -88,17 +87,13 @@ func RunPortfolio(cfg PortfolioConfig) (*PortfolioResult, error) {
 		}
 		w := in.UnroutableW()
 
-		t := RunStrategy(g, w, single, translate, cfg.Timeout, cfg.Pool)
+		t := RunStrategy(g, w, single, sat.Options{}, translate, cfg.Timeout, cfg.Pool)
 		res.Single = append(res.Single, t.Total())
 		res.TotalSingle += t.Total()
 
 		for pi, members := range [][]core.Strategy{p2, p3} {
 			start := time.Now()
-			ctx := context.Background()
-			cancel := context.CancelFunc(func() {})
-			if cfg.Timeout > 0 {
-				ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-			}
+			ctx, cancel := withTimeout(cfg.Timeout)
 			winner, _, err := portfolio.Run(ctx, g, w, members, laneOpts)
 			cancel()
 			if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -9,86 +10,91 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
+// columns builds named columns for hand-built grid results; the views
+// read only the names.
+func columns(names ...string) []Column {
+	cols := make([]Column, len(names))
+	for i, n := range names {
+		cols[i] = Column{Name: n}
+	}
+	return cols
+}
+
 // TestPinnedRenders pins the Markdown of the Table 2, routable,
 // solver-profile and tree-shape views on hand-built results with fixed
 // durations and no timed-out cell, so a change to how the studies are
 // run cannot silently change how they are reported.
 func TestPinnedRenders(t *testing.T) {
 	table2 := func() string {
-		cols := []string{"muldirect/-", "ITE-log/b1", "ITE-log/s1"}
-		cells := [][]Table2Cell{
-			{
-				{Timing: Timing{Translate: ms(10), Encode: ms(20), Solve: ms(12500), Status: sat.Unsat}},
-				{Timing: Timing{Translate: ms(10), Encode: ms(5), Solve: ms(401), Status: sat.Unsat}},
-				{Timing: Timing{Translate: ms(10), Encode: ms(6), Solve: ms(92), Status: sat.Unsat}},
+		return (&GridResult{
+			Instances: []string{"alu2", "too_large"},
+			Columns:   columns("muldirect/-", "ITE-log/b1", "ITE-log/s1"),
+			Cells: [][][]Timing{
+				{{
+					{Translate: ms(10), Encode: ms(20), Solve: ms(12500), Status: sat.Unsat},
+					{Translate: ms(10), Encode: ms(5), Solve: ms(401), Status: sat.Unsat},
+					{Translate: ms(10), Encode: ms(6), Solve: ms(92), Status: sat.Unsat},
+				}},
+				{{
+					{Translate: ms(30), Encode: ms(40), Solve: ms(101000), Status: sat.Unsat},
+					{Translate: ms(30), Encode: ms(7), Solve: ms(1234), Status: sat.Unsat},
+					{Translate: ms(30), Encode: ms(8), Solve: ms(2718), Status: sat.Unsat},
+				}},
 			},
-			{
-				{Timing: Timing{Translate: ms(30), Encode: ms(40), Solve: ms(101000), Status: sat.Unsat}},
-				{Timing: Timing{Translate: ms(30), Encode: ms(7), Solve: ms(1234), Status: sat.Unsat}},
-				{Timing: Timing{Translate: ms(30), Encode: ms(8), Solve: ms(2718), Status: sat.Unsat}},
-			},
-		}
-		r := &Table2Result{Columns: cols, Instances: []string{"alu2", "too_large"}, Cells: cells,
-			Totals: make([]time.Duration, len(cols)), AnyCapped: make([]bool, len(cols)), Speedups: make([]float64, len(cols))}
-		for _, row := range cells {
-			for i, c := range row {
-				r.Totals[i] += c.Timing.Total()
-			}
-		}
-		for i, tot := range r.Totals {
-			r.Speedups[i] = r.Totals[0].Seconds() / tot.Seconds()
-		}
-		return r.Markdown()
+		}).Table2Markdown()
 	}
 	routable := func() string {
-		r := &RoutableResult{
-			Encodings: []string{"muldirect", "ITE-log"},
+		return (&GridResult{
 			Instances: []string{"alu2", "too_large"},
-			Times: [][]Timing{
-				{
+			Columns:   columns("muldirect", "ITE-log"),
+			Cells: [][][]Timing{
+				{{
 					{Translate: ms(10), Encode: ms(20), Solve: ms(33), Status: sat.Sat},
 					{Translate: ms(10), Encode: ms(4), Solve: ms(15), Status: sat.Sat},
-				},
-				{
+				}},
+				{{
 					{Translate: ms(30), Encode: ms(40), Solve: ms(9870), Status: sat.Sat},
 					{Translate: ms(30), Encode: ms(7), Solve: ms(61), Status: sat.Sat},
-				},
+				}},
 			},
-			Totals: make([]time.Duration, 2),
-		}
-		for _, row := range r.Times {
-			for i, tm := range row {
-				r.Totals[i] += tm.Total()
-			}
-		}
-		return r.Markdown()
+		}).RoutableMarkdown()
 	}
 	solvers := func() string {
-		r := &SolverCompareResult{
-			Strategy:   "ITE-linear-2+muldirect/s1",
-			Profiles:   []string{"luby", "geometric"},
-			Instances:  []string{"alu2", "too_large"},
-			UnsatTimes: [][]time.Duration{{ms(812), ms(1650)}, {ms(96), ms(133)}},
-			SatTimes:   [][]time.Duration{{ms(21), ms(18)}, {ms(12), ms(14)}},
-		}
-		r.UnsatTotal = make([]time.Duration, 2)
-		r.SatTotal = make([]time.Duration, 2)
-		for ii := range r.Instances {
-			for pi := range r.Profiles {
-				r.UnsatTotal[pi] += r.UnsatTimes[ii][pi]
-				r.SatTotal[pi] += r.SatTimes[ii][pi]
-			}
-		}
-		return r.Markdown()
+		// The profile view times the solve alone: translation and
+		// encoding are the same for every profile.
+		return (&GridResult{
+			Instances: []string{"alu2", "too_large"},
+			Columns:   columns("luby", "geometric"),
+			Cells: [][][]Timing{
+				{
+					{{Translate: ms(10), Encode: ms(5), Solve: ms(812), Status: sat.Unsat}, {Translate: ms(10), Encode: ms(5), Solve: ms(1650), Status: sat.Unsat}},
+					{{Translate: ms(10), Encode: ms(6), Solve: ms(21), Status: sat.Sat}, {Translate: ms(10), Encode: ms(6), Solve: ms(18), Status: sat.Sat}},
+				},
+				{
+					{{Translate: ms(30), Encode: ms(7), Solve: ms(96), Status: sat.Unsat}, {Translate: ms(30), Encode: ms(7), Solve: ms(133), Status: sat.Unsat}},
+					{{Translate: ms(30), Encode: ms(8), Solve: ms(12), Status: sat.Sat}, {Translate: ms(30), Encode: ms(8), Solve: ms(14), Status: sat.Sat}},
+				},
+			},
+		}).SolverMarkdown()
 	}
 	trees := func() string {
-		return (&TreeAblationResult{
-			Instance:   "alu2",
-			Shapes:     []string{"ITE-tree-linear", "ITE-tree-balanced", "ITE-tree-random-0"},
-			UnsatTimes: []time.Duration{ms(4 + 21), ms(5 + 33), ms(5 + 142)},
-			SatTimes:   []time.Duration{ms(3 + 9), ms(4 + 11), ms(4 + 8)},
-			Conflicts:  []int64{1691, 3001, 2737},
-		}).Markdown()
+		// The tree view leaves out the translation every shape shares.
+		return (&GridResult{
+			Instances: []string{"alu2"},
+			Columns:   columns("ITE-tree-linear", "ITE-tree-balanced", "ITE-tree-random-0"),
+			Cells: [][][]Timing{{
+				{
+					{Translate: ms(10), Encode: ms(4), Solve: ms(21), Status: sat.Unsat, Conflicts: 1691},
+					{Translate: ms(10), Encode: ms(5), Solve: ms(33), Status: sat.Unsat, Conflicts: 3001},
+					{Translate: ms(10), Encode: ms(5), Solve: ms(142), Status: sat.Unsat, Conflicts: 2737},
+				},
+				{
+					{Translate: ms(10), Encode: ms(3), Solve: ms(9), Status: sat.Sat, Conflicts: 12},
+					{Translate: ms(10), Encode: ms(4), Solve: ms(11), Status: sat.Sat, Conflicts: 20},
+					{Translate: ms(10), Encode: ms(4), Solve: ms(8), Status: sat.Sat, Conflicts: 9},
+				},
+			}},
+		}).TreeMarkdown()
 	}
 	for _, tc := range []struct {
 		name, got, want string
@@ -144,6 +150,57 @@ Same domain, different tree structure (Sect. 3): satisfiability is invariant, so
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s view changed:\n--- got\n%s\n--- want\n%s", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// TestTimedOutCellsMarked checks that every view marks a timed-out
+// cell with ">", and the total of its column as a lower bound.
+func TestTimedOutCellsMarked(t *testing.T) {
+	done := func(d int, st sat.Status) Timing { return Timing{Encode: ms(d), Solve: ms(d), Status: st} }
+	capped := Timing{Encode: ms(5), Solve: ms(2000), Status: sat.Unknown}
+	routable := &GridResult{
+		Instances: []string{"alu2", "too_large"},
+		Columns:   columns("a", "b"),
+		Cells:     [][][]Timing{{{done(10, sat.Sat), capped}}, {{done(20, sat.Sat), done(30, sat.Sat)}}},
+	}
+	solvers := &GridResult{
+		Instances: []string{"alu2", "too_large"},
+		Columns:   columns("luby", "geometric"),
+		Cells: [][][]Timing{
+			{{done(10, sat.Unsat), capped}, {done(10, sat.Sat), done(10, sat.Sat)}},
+			{{done(20, sat.Unsat), done(20, sat.Unsat)}, {capped, done(20, sat.Sat)}},
+		},
+	}
+	trees := &GridResult{
+		Instances: []string{"alu2"},
+		Columns:   columns("ITE-tree-linear", "ITE-tree-balanced"),
+		Cells:     [][][]Timing{{{capped, done(10, sat.Unsat)}, {done(10, sat.Sat), capped}}},
+	}
+	for _, tc := range []struct {
+		name string
+		md   string
+		rows []string
+	}{
+		{"routable", routable.RoutableMarkdown(), []string{
+			"| alu2 | 0.02 | >2.00 |",
+			"| **Total** | 0.06 | >2.06 |",
+		}},
+		{"solvers", solvers.SolverMarkdown(), []string{
+			"| alu2 | 0.01 | >2.00 |",
+			"| **Total** | 0.03 | >2.02 |", // W-1
+			"| too_large | >2.00 | 0.02 |",
+			"| **Total** | >2.01 | 0.03 |", // W
+		}},
+		{"trees", trees.TreeMarkdown(), []string{
+			"| ITE-tree-linear | >2.00 | 0.02 | 0 |",
+			"| ITE-tree-balanced | 0.02 | >2.00 | 0 |",
+		}},
+	} {
+		for _, row := range tc.rows {
+			if !strings.Contains(tc.md, row+"\n") {
+				t.Errorf("%s view lacks %q:\n%s", tc.name, row, tc.md)
+			}
 		}
 	}
 }

@@ -27,33 +27,33 @@ type ScaleConfig struct {
 
 // ScaleRow is one scale point's measurement.
 type ScaleRow struct {
-	Factor       int     `json:"factor"`
-	Rows         int     `json:"rows"`
-	Cols         int     `json:"cols"`
-	W            int     `json:"w"`
-	Nets         int     `json:"nets"`
-	Edges        int     `json:"edges"`
-	CliqueLB     int     `json:"clique_lb"`
-	GraphBytes   int     `json:"graph_bytes"` // peak CSR storage of the conflict graph
-	GenNS        int64   `json:"gen_ns"`
-	EncodeNS     int64   `json:"encode_ns"`
-	Vars         int     `json:"vars"`
-	Clauses      int     `json:"clauses"`
-	ClausesPerSc float64 `json:"clauses_per_sec"`
+	Factor       int
+	Rows         int
+	Cols         int
+	W            int
+	Nets         int
+	Edges        int
+	CliqueLB     int
+	GraphBytes   int // peak CSR storage of the conflict graph
+	GenNS        int64
+	EncodeNS     int64
+	Vars         int
+	Clauses      int
+	ClausesPerSc float64
 }
 
 // ScaleResult aggregates the scaling study for Markdown and JSON
 // output (BENCH_scale.json).
 type ScaleResult struct {
-	Bench    string     `json:"bench"` // "scale"
-	Encoding string     `json:"encoding"`
-	Rows     []ScaleRow `json:"rows"`
+	Encoding string
+	Rows     []ScaleRow
 }
 
-// nullSink absorbs streamed clauses, isolating emission cost.
-type nullSink struct{ clauses int }
+// discard drops every streamed clause. The encoder counts them itself
+// (core.Streamed), so the scale study times emission alone.
+type discard struct{}
 
-func (s *nullSink) AddClause(lits ...int) { s.clauses++ }
+func (discard) AddClause(...int) {}
 
 // RunScale generates and encodes one instance per scale factor,
 // verifying each instance's known-width witness before timing it.
@@ -70,7 +70,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ScaleResult{Bench: "scale", Encoding: encName}
+	res := &ScaleResult{Encoding: encName}
 	for _, factor := range factors {
 		p := fpga.ScaledFabric(factor)
 		if cfg.Progress != nil {
@@ -93,17 +93,17 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			return nil, fmt.Errorf("scale %dx: clique bound %d != W=%d", factor, stats.CliqueLB, p.ChannelWidth)
 		}
 		csp := core.NewCSP(g, p.ChannelWidth)
-		sink := &nullSink{}
 		encStart := time.Now()
-		st := core.EncodeInto(csp, enc, sink)
+		st := core.EncodeInto(csp, enc, discard{})
 		encNS := time.Since(encStart).Nanoseconds()
+		clauses := st.StructuralClauses + st.ConflictClauses
 		row := ScaleRow{
 			Factor: factor, Rows: p.Rows, Cols: p.Cols, W: p.ChannelWidth,
 			Nets: stats.Nets, Edges: stats.Edges, CliqueLB: stats.CliqueLB,
 			GraphBytes: stats.GraphBytes,
 			GenNS:      genNS, EncodeNS: encNS,
-			Vars: st.NumVars, Clauses: sink.clauses,
-			ClausesPerSc: float64(sink.clauses) / (float64(encNS) / 1e9),
+			Vars: st.NumVars, Clauses: clauses,
+			ClausesPerSc: float64(clauses) / (float64(encNS) / 1e9),
 		}
 		res.Rows = append(res.Rows, row)
 		if cfg.Progress != nil {
@@ -160,7 +160,7 @@ func (r *ScaleResult) Report() *BenchReport {
 	rows := r.Rows
 	return &BenchReport{
 		Schema: BenchSchema,
-		Bench:  r.Bench,
+		Bench:  "scale",
 		Meta:   newBenchMeta(map[string]string{"encoding": r.Encoding}),
 		Series: []BenchSeries{
 			series("nets", "count", labels, func(i int) float64 { return float64(rows[i].Nets) }),

@@ -118,9 +118,9 @@ func ScanSeed(in mcnc.Instance, seed int64, timeout time.Duration, pool *sat.Poo
 	if !row.Chi.Proved {
 		return row, nil
 	}
-	row.Baseline = RunStrategy(g, row.Chi.Chi-1, baseline, 0, timeout, pool)
+	row.Baseline = RunStrategy(g, row.Chi.Chi-1, baseline, sat.Options{}, 0, timeout, pool)
 	for _, s := range fast {
-		row.Fast = append(row.Fast, RunStrategy(g, row.Chi.Chi-1, s, 0, timeout, pool))
+		row.Fast = append(row.Fast, RunStrategy(g, row.Chi.Chi-1, s, sat.Options{}, 0, timeout, pool))
 	}
 	return row, nil
 }
@@ -142,9 +142,9 @@ func (r *SeedScanResult) Markdown() string {
 				row = append(row, "")
 			}
 		} else {
-			row = append(row, strconv.Itoa(s.Chi.Chi), fmtDur(s.Baseline.Total(), s.Baseline.Status == sat.Unknown))
+			row = append(row, strconv.Itoa(s.Chi.Chi), fmtCell(s.Baseline, Timing.Total))
 			for _, t := range s.Fast {
-				row = append(row, fmtDur(t.Total(), t.Status == sat.Unknown))
+				row = append(row, fmtCell(t, Timing.Total))
 			}
 			mark := ""
 			if s.Challenging() {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -38,31 +37,30 @@ type ShareCompareConfig struct {
 
 // ShareCompareRow is one instance's blind-vs-shared measurement.
 type ShareCompareRow struct {
-	Instance string  `json:"instance"`
-	W        int     `json:"w"` // unroutable width being refuted
-	BlindNS  int64   `json:"blind_ns"`
-	SharedNS int64   `json:"shared_ns"`
-	Speedup  float64 `json:"speedup"` // blind / shared wall clock
+	Instance string
+	W        int // unroutable width being refuted
+	BlindNS  int64
+	SharedNS int64
+	Speedup  float64 // blind / shared wall clock
 	// Summed solver conflicts across lanes — the work the exchange is
 	// supposed to save.
-	BlindConflicts  int64 `json:"blind_conflicts"`
-	SharedConflicts int64 `json:"shared_conflicts"`
+	BlindConflicts  int64
+	SharedConflicts int64
 	// Exchange activity of the shared run.
-	Exported int64 `json:"exported"`
-	Imported int64 `json:"imported"`
+	Exported int64
+	Imported int64
 }
 
 // ShareCompareResult aggregates the study for Markdown and JSON output.
 type ShareCompareResult struct {
-	Bench         string            `json:"bench"` // "portfolio.share"
-	Strategy      string            `json:"strategy"`
-	Lanes         int               `json:"lanes"`
-	Seed          int64             `json:"seed"`
-	Repeats       int               `json:"repeats"` // times are summed over seeds Seed..Seed+Repeats-1
-	Rows          []ShareCompareRow `json:"rows"`
-	TotalBlindNS  int64             `json:"total_blind_ns"`
-	TotalSharedNS int64             `json:"total_shared_ns"`
-	TotalSpeedup  float64           `json:"total_speedup"`
+	Strategy      string
+	Lanes         int
+	Seed          int64
+	Repeats       int // times are summed over seeds Seed..Seed+Repeats-1
+	Rows          []ShareCompareRow
+	TotalBlindNS  int64
+	TotalSharedNS int64
+	TotalSpeedup  float64
 }
 
 // RunShareComparison measures, per unroutable configuration, the
@@ -91,8 +89,7 @@ func RunShareComparison(cfg ShareCompareConfig) (*ShareCompareResult, error) {
 	}
 	lanes := portfolio.Replicate([]core.Strategy{s}, cfg.Lanes)
 	res := &ShareCompareResult{
-		Bench: "portfolio.share", Strategy: s.Name(),
-		Lanes: cfg.Lanes, Seed: cfg.Seed, Repeats: cfg.Repeats,
+		Strategy: s.Name(), Lanes: cfg.Lanes, Seed: cfg.Seed, Repeats: cfg.Repeats,
 	}
 
 	for _, in := range cfg.Instances {
@@ -115,11 +112,7 @@ func RunShareComparison(cfg ShareCompareConfig) (*ShareCompareResult, error) {
 					so := cfg.Share
 					opts.Share = &so
 				}
-				ctx := context.Background()
-				cancel := context.CancelFunc(func() {})
-				if cfg.Timeout > 0 {
-					ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-				}
+				ctx, cancel := withTimeout(cfg.Timeout)
 				start := time.Now()
 				winner, all, err := portfolio.Run(ctx, g, w, lanes, opts)
 				elapsed := time.Since(start)
@@ -220,7 +213,7 @@ func (r *ShareCompareResult) Report() *BenchReport {
 	rows := r.Rows
 	return &BenchReport{
 		Schema: BenchSchema,
-		Bench:  r.Bench,
+		Bench:  "portfolio.share",
 		Meta: newBenchMeta(map[string]string{
 			"strategy":        r.Strategy,
 			"lanes":           fmt.Sprintf("%d", r.Lanes),
