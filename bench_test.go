@@ -102,7 +102,7 @@ func BenchmarkTable2(b *testing.B) {
 					if t.Status != sat.Unsat {
 						b.Fatalf("got %v, want Unsat", t.Status)
 					}
-					conflicts += t.Conflicts
+					conflicts += t.Stats.Conflicts
 				}
 				b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
 			})

@@ -209,7 +209,7 @@ func run() (status int) {
 	if *portfolio {
 		r, err := experiments.RunPortfolio(experiments.PortfolioConfig{
 			Instances: insts, Timeout: *timeout, Progress: progress, Obs: reg, Pool: pool,
-			Verify: *verify, VerifyUnsat: *verify, LaneTimeout: *laneTO, MaxRetries: *maxRetries,
+			Verify: *verify, LaneTimeout: *laneTO, MaxRetries: *maxRetries,
 		})
 		if err != nil {
 			return fail(err)

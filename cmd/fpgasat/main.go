@@ -41,8 +41,8 @@ import (
 	"fpgasat/internal/sat"
 )
 
-// reg collects per-stage spans (pipeline.translate / encode / solve /
-// decode), solver progress gauges and, in -portfolio mode, the
+// reg collects per-stage spans (pipeline.translate / solve / decode),
+// solver progress gauges and, in -portfolio mode, the
 // per-strategy portfolio telemetry. It is dumped by -trace and
 // -metrics-out.
 var reg = obs.NewRegistry()
@@ -190,7 +190,6 @@ func run() (status int) {
 	case *usePortfolio:
 		opts := fpgasat.PortfolioOptions{
 			Verify:      *verify,
-			VerifyUnsat: *verify,
 			LaneTimeout: *laneTimeout,
 			MaxRetries:  *maxRetries,
 			Seed:        *seed,
@@ -211,34 +210,58 @@ func run() (status int) {
 	return 0
 }
 
-// solveSingle solves width w with one strategy and prints the outcome.
+// solveSingle solves width w with one strategy on a pooled session
+// solver and prints the outcome. -cnf and -proof also build the
+// buffered formula: to write it out, and to check the solver's DRAT log
+// against it on Unsat.
 func solveSingle(gr *fpga.GlobalRouting, g *graph.Graph, w int, s core.Strategy, timeout time.Duration, tracks bool, cnfOut, proof string) error {
-	var st sat.Status
-	var colors []int
-	var err error
-	if cnfOut == "" && proof == "" {
-		// Hot path: stream the encoding straight into a pooled session
-		// solver — no intermediate CNF is materialized.
-		st, colors, err = solveStreamed(g, w, s, timeout)
-	} else {
-		// -cnf and -proof need the materialized formula (to write it
-		// out, and to check the DRAT certificate against it).
-		span := reg.StartSpan("pipeline.encode")
-		enc := s.EncodeGraph(g, w)
-		span.End()
-		reg.Gauge("pipeline.cnf_vars").Set(int64(enc.CNF.NumVars))
-		reg.Gauge("pipeline.cnf_clauses").Set(int64(enc.CNF.NumClauses()))
-		if cnfOut != "" {
-			if err := writeFile(cnfOut, func(f io.Writer) error { return sat.WriteDIMACS(f, enc.CNF) }); err != nil {
-				return err
-			}
-			fmt.Printf("wrote CNF to %s (%d vars, %d clauses)\n",
-				cnfOut, enc.CNF.NumVars, enc.CNF.NumClauses())
-		}
-		st, colors, err = solveWithProof(enc, timeout, proof)
+	var cnf *sat.CNF
+	if cnfOut != "" || proof != "" {
+		cnf = s.EncodeGraph(g, w).CNF
 	}
+	if cnfOut != "" {
+		if err := writeFile(cnfOut, func(f io.Writer) error { return sat.WriteDIMACS(f, cnf) }); err != nil {
+			return err
+		}
+		fmt.Printf("wrote CNF to %s (%d vars, %d clauses)\n", cnfOut, cnf.NumVars, cnf.NumClauses())
+	}
+	opts := solverOptions()
+	var proofFile *os.File
+	if proof != "" {
+		var err error
+		if proofFile, err = os.Create(proof); err != nil {
+			return err
+		}
+		defer proofFile.Close()
+		opts.ProofWriter = proofFile
+	}
+	ctx, cancel := withTimeout(timeout)
+	defer cancel()
+	start := time.Now()
+	span := reg.StartSpan("pipeline.solve")
+	st, colors, err := session.SolveGraph(ctx, g, w, s, opts)
+	span.End()
 	if err != nil {
 		return err
+	}
+	fmt.Printf("SAT solve: %v (streamed into pooled solver) -> %v\n",
+		time.Since(start).Round(time.Millisecond), st)
+	if proofFile != nil {
+		if err := proofFile.Close(); err != nil {
+			return err
+		}
+		if st == sat.Unsat {
+			pf, err := os.Open(proof)
+			if err != nil {
+				return err
+			}
+			err = sat.CheckDRAT(cnf, pf)
+			pf.Close()
+			if err != nil {
+				return fmt.Errorf("unroutability certificate failed verification: %w", err)
+			}
+			fmt.Printf("unroutability certificate written to %s and verified (DRAT)\n", proof)
+		}
 	}
 	switch st {
 	case sat.Sat:
@@ -250,6 +273,15 @@ func solveSingle(gr *fpga.GlobalRouting, g *graph.Graph, w int, s core.Strategy,
 		fmt.Printf("UNDECIDED within %v\n", timeout)
 		return errUndecided
 	}
+}
+
+// withTimeout returns a context that expires after d, or never when d
+// is 0.
+func withTimeout(d time.Duration) (context.Context, context.CancelFunc) {
+	if d > 0 {
+		return context.WithTimeout(context.Background(), d)
+	}
+	return context.Background(), func() {}
 }
 
 // routed reports a routable width: it decodes the coloring into a
@@ -304,12 +336,8 @@ func runPortfolio(gr *fpga.GlobalRouting, g *graph.Graph, w int, timeout time.Du
 			reg.Counter(name)
 		}
 	}
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := withTimeout(timeout)
+	defer cancel()
 	members, err := fpgasat.PaperPortfolio3()
 	if err != nil {
 		return err
@@ -381,79 +409,6 @@ func dumpMetrics(trace bool, metricsOut string) error {
 		fmt.Printf("wrote metrics to %s\n", metricsOut)
 	}
 	return nil
-}
-
-// solveStreamed solves the width-w coloring through the session: the
-// encoding streams into a pooled solver's clause arena and the solver
-// returns to the pool afterwards, carrying its capacity to the next
-// solve in this process.
-func solveStreamed(g *graph.Graph, w int, s core.Strategy, timeout time.Duration) (sat.Status, []int, error) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	start := time.Now()
-	span := reg.StartSpan("pipeline.solve")
-	st, colors, err := session.SolveGraph(ctx, g, w, s, solverOptions())
-	span.End()
-	if err != nil {
-		return st, nil, err
-	}
-	fmt.Printf("SAT solve: %v (streamed into pooled solver) -> %v\n",
-		time.Since(start).Round(time.Millisecond), st)
-	return st, colors, nil
-}
-
-// solveWithProof solves a materialized formula. With a proof path it
-// writes the solver's DRAT trace there and, on Unsat, checks it against
-// the formula.
-func solveWithProof(enc *core.Encoded, timeout time.Duration, proof string) (sat.Status, []int, error) {
-	opts := solverOptions()
-	var proofFile *os.File
-	if proof != "" {
-		var err error
-		if proofFile, err = os.Create(proof); err != nil {
-			return sat.Unknown, nil, err
-		}
-		defer proofFile.Close()
-		opts.ProofWriter = proofFile
-	}
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	start := time.Now()
-	span := reg.StartSpan("pipeline.solve")
-	st, colors, err := enc.SolveContext(ctx, opts)
-	span.End()
-	if err != nil {
-		return st, nil, err
-	}
-	fmt.Printf("SAT solve: %v (%d vars, %d clauses) -> %v\n",
-		time.Since(start).Round(time.Millisecond), enc.CNF.NumVars, enc.CNF.NumClauses(), st)
-	if proofFile == nil {
-		return st, colors, nil
-	}
-	if err := proofFile.Close(); err != nil {
-		return st, nil, err
-	}
-	if st == sat.Unsat {
-		pf, err := os.Open(proof)
-		if err != nil {
-			return st, nil, err
-		}
-		err = sat.CheckDRAT(enc.CNF, pf)
-		pf.Close()
-		if err != nil {
-			return st, nil, fmt.Errorf("unroutability certificate failed verification: %w", err)
-		}
-		fmt.Printf("unroutability certificate written to %s and verified (DRAT)\n", proof)
-	}
-	return st, colors, nil
 }
 
 // findMinimum performs the paper's optimality flow: descend from the

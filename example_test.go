@@ -110,7 +110,7 @@ func ExampleSession_portfolioHardened() {
 		"p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"))
 	strategies, _ := fpgasat.PaperPortfolio3()
 	win, all, err := sess.PortfolioHardened(context.Background(), g, 2, strategies,
-		fpgasat.PortfolioOptions{Verify: true, VerifyUnsat: true})
+		fpgasat.PortfolioOptions{Verify: true})
 	if err != nil {
 		panic(err)
 	}

@@ -59,16 +59,16 @@ func main() {
 		log.Fatal(err)
 	}
 	w := inst.RoutableW
-	st, colors, err := strategy.EncodeGraph(conflict, w).SolveContext(context.Background(), sat.Options{})
-	if err != nil || st != sat.Sat {
-		log.Fatalf("expected routable at W=%d: %v %v", w, st, err)
+	res, err := strategy.Solve(context.Background(), conflict, w, nil, sat.Options{})
+	if err != nil || res.Status != sat.Sat {
+		log.Fatalf("expected routable at W=%d: %v %v", w, res.Status, err)
 	}
-	if _, err := fpga.AssignTracks(global, colors, w); err != nil {
+	if _, err := fpga.AssignTracks(global, res.Colors, w); err != nil {
 		log.Fatal(err)
 	}
-	stU, _, err := strategy.EncodeGraph(conflict, w-1).SolveContext(context.Background(), sat.Options{})
-	if err != nil || stU != sat.Unsat {
-		log.Fatalf("expected unroutable at W=%d: %v %v", w-1, stU, err)
+	resU, err := strategy.Solve(context.Background(), conflict, w-1, nil, sat.Options{})
+	if err != nil || resU.Status != sat.Unsat {
+		log.Fatalf("expected unroutable at W=%d: %v %v", w-1, resU.Status, err)
 	}
 	fmt.Printf("SAT flow (all nets simultaneously):  routes at W=%d and PROVES W=%d impossible\n", w, w-1)
 	for _, base := range []struct {

@@ -43,11 +43,11 @@ func main() {
 	fmt.Println("\nindividual runs:")
 	for _, m := range members {
 		start := time.Now()
-		status, _, err := m.EncodeGraph(conflict, w).SolveContext(context.Background(), sat.Options{})
+		res, err := m.Solve(context.Background(), conflict, w, nil, sat.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-28s %8.3fs  %v\n", m.Name(), time.Since(start).Seconds(), status)
+		fmt.Printf("  %-28s %8.3fs  %v\n", m.Name(), time.Since(start).Seconds(), res.Status)
 	}
 
 	// The race with a metrics registry: per-strategy encode/solve

@@ -46,19 +46,17 @@ func main() {
 		log.Fatal(err)
 	}
 	for w := global.MaxCongestion() + 1; w >= global.MaxCongestion()-1 && w >= 1; w-- {
-		enc := strategy.EncodeGraph(conflict, w)
-		status, colors, err := enc.SolveContext(context.Background(), fpgasat.SolverOptions{})
+		res, err := strategy.Solve(context.Background(), conflict, w, nil, fpgasat.SolverOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		switch status {
+		switch res.Status {
 		case fpgasat.Sat:
-			detailed, err := fpgasat.AssignTracks(global, colors, w)
+			detailed, err := fpgasat.AssignTracks(global, res.Colors, w)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("W=%d: ROUTABLE (%d vars, %d clauses); first nets: ", w,
-				enc.CNF.NumVars, enc.CNF.NumClauses())
+			fmt.Printf("W=%d: ROUTABLE (%d vars, %d clauses); first nets: ", w, res.Vars, res.Clauses)
 			for i := 0; i < 3 && i < len(detailed.Tracks); i++ {
 				fmt.Printf("%s->track%d ", global.Routes[i].Label(netlist), detailed.Tracks[i])
 			}

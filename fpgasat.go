@@ -54,7 +54,9 @@ type (
 	Cube = core.Cube
 	// Encoded is a CSP translated to CNF, ready to solve and decode.
 	Encoded = core.Encoded
-	// Strategy pairs an encoding with a symmetry-breaking heuristic.
+	// Strategy pairs an encoding with a symmetry-breaking heuristic;
+	// Strategy.Solve streams its encoding into a solver and decides one
+	// coloring.
 	Strategy = core.Strategy
 	// TreeShape builds arbitrary ITE-tree structures.
 	TreeShape = core.TreeShape

@@ -112,7 +112,7 @@ func TestDistanceEncodingsBruteForce(t *testing.T) {
 					t.Fatal(err)
 				}
 				e := Encode(NewCSP(g, k), enc)
-				st, colors, err := e.SolveContext(context.Background(), sat.Options{})
+				st, colors, err := solveEncoded(e)
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", gname, ename, k, err)
 				}
@@ -154,7 +154,7 @@ func TestDistanceIncrementalMatchesFresh(t *testing.T) {
 				}
 				st := solver.SolveAssumingContext(context.Background(), assumps...)
 				fresh := Encode(NewCSP(g, w), enc)
-				fst, _, err := fresh.SolveContext(context.Background(), sat.Options{})
+				fst, _, err := solveEncoded(fresh)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -303,7 +303,7 @@ func TestWeightedSkipsSymmetry(t *testing.T) {
 	// prefix restriction to {0} / {0,1} / {0,1,2} cuts all solutions.
 	csp.ApplySequence([]int{0, 1, 2})
 	e := Encode(csp, mustByName(t, "order"))
-	st, _, err := e.SolveContext(context.Background(), sat.Options{})
+	st, _, err := solveEncoded(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"fpgasat/internal/sat"
@@ -31,8 +30,9 @@ type Streamed struct {
 }
 
 // Encoded is the SAT translation of a coloring CSP under a particular
-// encoding, buffered as a CNF formula for DIMACS export and single-shot
-// solving. It is Streamed plus the materialized clause list.
+// encoding, buffered as a CNF formula for DIMACS export and for checking
+// DRAT proofs against. It is Streamed plus the materialized clause list.
+// Solves stream instead (Strategy.Solve).
 type Encoded struct {
 	*Streamed
 	CNF *sat.CNF
@@ -272,29 +272,4 @@ func (e *Streamed) DecodeVerify(model []bool) ([]int, error) {
 		return nil, fmt.Errorf("core: decoded solution invalid: %w", err)
 	}
 	return colors, nil
-}
-
-// SolveContext encodes nothing further: it runs the CDCL solver on the
-// CNF and, when satisfiable, decodes and verifies the coloring. The
-// solve returns Unknown promptly once ctx is cancelled or its deadline
-// passes.
-func (e *Encoded) SolveContext(ctx context.Context, opts sat.Options) (sat.Status, []int, error) {
-	return e.decodeResult(sat.SolveCNFContext(ctx, e.CNF, opts))
-}
-
-// SolveReusing is SolveContext on a pooled solver (see sat.Pool); a
-// nil pool falls back to a fresh solver.
-func (e *Encoded) SolveReusing(ctx context.Context, pool *sat.Pool, opts sat.Options) (sat.Status, []int, error) {
-	return e.decodeResult(sat.SolveCNFReusing(ctx, pool, e.CNF, opts))
-}
-
-func (e *Encoded) decodeResult(res sat.Result) (sat.Status, []int, error) {
-	if res.Status != sat.Sat {
-		return res.Status, nil, nil
-	}
-	colors, err := e.DecodeVerify(res.Model)
-	if err != nil {
-		return res.Status, nil, err
-	}
-	return sat.Sat, colors, nil
 }

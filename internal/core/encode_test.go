@@ -30,6 +30,17 @@ func allTestEncodings(t *testing.T) []Encoding {
 	return append(encs, extra...)
 }
 
+// solveEncoded solves a hand-built CSP's buffered formula on a fresh
+// solver, decoding and verifying a Sat model.
+func solveEncoded(e *Encoded) (sat.Status, []int, error) {
+	res := sat.SolveCNFContext(context.Background(), e.CNF, sat.Options{})
+	if res.Status != sat.Sat {
+		return res.Status, nil, nil
+	}
+	colors, err := e.DecodeVerify(res.Model)
+	return res.Status, colors, err
+}
+
 // TestEncodingsAgreeWithExactColoring is the central correctness
 // property of the package: for every encoding, on random graphs and
 // color counts, SAT-solving the encoded CSP must agree with the exact
@@ -52,7 +63,7 @@ func TestEncodingsAgreeWithExactColoring(t *testing.T) {
 			if err := e.CNF.Validate(); err != nil {
 				t.Fatalf("%s: invalid CNF: %v", enc.Name(), err)
 			}
-			st, colors, err := e.SolveContext(context.Background(), sat.Options{})
+			st, colors, err := solveEncoded(e)
 			if err != nil {
 				t.Fatalf("%s trial %d: %v", enc.Name(), trial, err)
 			}
@@ -88,16 +99,16 @@ func TestSymmetryPreservesSatisfiability(t *testing.T) {
 		_, want, _ := coloring.KColorable(g, k, 0)
 		for _, h := range []symmetry.Heuristic{symmetry.B1, symmetry.S1, symmetry.C1} {
 			for _, enc := range encs {
-				st, colors, err := Strategy{enc, h}.EncodeGraph(g, k).SolveContext(context.Background(), sat.Options{})
+				res, err := Strategy{enc, h}.Solve(context.Background(), g, k, nil, sat.Options{})
 				if err != nil {
 					t.Fatalf("%s/%s: %v", enc.Name(), h, err)
 				}
-				if (st == sat.Sat) != want {
+				if (res.Status == sat.Sat) != want {
 					t.Fatalf("%s/%s trial %d: symmetry changed satisfiability (got %v, want sat=%v)",
-						enc.Name(), h, trial, st, want)
+						enc.Name(), h, trial, res.Status, want)
 				}
-				if st == sat.Sat {
-					if err := coloring.Verify(g, colors, k); err != nil {
+				if res.Status == sat.Sat {
+					if err := coloring.Verify(g, res.Colors, k); err != nil {
 						t.Fatalf("%s/%s: %v", enc.Name(), h, err)
 					}
 				}
@@ -117,7 +128,7 @@ func TestEncodeAdjacentSingletonDomainsUnsat(t *testing.T) {
 		csp := NewCSP(g, 3)
 		csp.RestrictDomain(0, 1)
 		csp.RestrictDomain(1, 1)
-		st, _, err := Encode(csp, enc).SolveContext(context.Background(), sat.Options{})
+		st, _, err := solveEncoded(Encode(csp, enc))
 		if err != nil {
 			t.Fatalf("%s: %v", enc.Name(), err)
 		}
@@ -130,10 +141,10 @@ func TestEncodeAdjacentSingletonDomainsUnsat(t *testing.T) {
 func TestEncodeTriangleNeedsThreeColors(t *testing.T) {
 	tri := graph.Complete(3)
 	for _, enc := range allTestEncodings(t) {
-		if st, _, _ := Encode(NewCSP(tri, 2), enc).SolveContext(context.Background(), sat.Options{}); st != sat.Unsat {
+		if st, _, _ := solveEncoded(Encode(NewCSP(tri, 2), enc)); st != sat.Unsat {
 			t.Errorf("%s: K3 with 2 colors gave %v", enc.Name(), st)
 		}
-		st, colors, err := Encode(NewCSP(tri, 3), enc).SolveContext(context.Background(), sat.Options{})
+		st, colors, err := solveEncoded(Encode(NewCSP(tri, 3), enc))
 		if err != nil || st != sat.Sat {
 			t.Errorf("%s: K3 with 3 colors gave %v, %v", enc.Name(), st, err)
 			continue
@@ -147,7 +158,7 @@ func TestEncodeTriangleNeedsThreeColors(t *testing.T) {
 func TestEncodeEmptyGraph(t *testing.T) {
 	g := graph.New(0)
 	for _, enc := range PaperEncodings() {
-		st, colors, err := Encode(NewCSP(g, 4), enc).SolveContext(context.Background(), sat.Options{})
+		st, colors, err := solveEncoded(Encode(NewCSP(g, 4), enc))
 		if err != nil || st != sat.Sat || len(colors) != 0 {
 			t.Errorf("%s: empty graph gave %v %v %v", enc.Name(), st, colors, err)
 		}
@@ -157,7 +168,7 @@ func TestEncodeEmptyGraph(t *testing.T) {
 func TestEncodeIsolatedVertices(t *testing.T) {
 	g := graph.New(5)
 	for _, enc := range PaperEncodings() {
-		st, colors, err := Encode(NewCSP(g, 2), enc).SolveContext(context.Background(), sat.Options{})
+		st, colors, err := solveEncoded(Encode(NewCSP(g, 2), enc))
 		if err != nil || st != sat.Sat {
 			t.Fatalf("%s: %v %v", enc.Name(), st, err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -105,7 +104,7 @@ func TestMixedAgreesWithExactColoring(t *testing.T) {
 		k := 2 + rng.Intn(4)
 		_, want, _ := coloring.KColorable(g, k, 0)
 		for _, enc := range mixedTestEncodings() {
-			st, colors, err := Encode(NewCSP(g, k), enc).SolveContext(context.Background(), sat.Options{})
+			st, colors, err := solveEncoded(Encode(NewCSP(g, k), enc))
 			if err != nil {
 				t.Fatalf("%s: %v", enc.Name(), err)
 			}

@@ -63,33 +63,25 @@ func TestStrategySolveMatchesFormula(t *testing.T) {
 			var wantProof, gotProof bytes.Buffer
 			want := sat.SolveCNFContext(ctx, e.CNF, sat.Options{ProofWriter: &wantProof})
 
-			solver := pool.Get(sat.Options{ProofWriter: &gotProof})
-			st := EncodeInto(BuildCSP(in.g, in.k, s.Symmetry), s.Encoding, sat.SolverSink{S: solver})
-			status := solver.SolveAssumingContext(ctx)
-			conflicts := solver.Stats.Conflicts
-			var err error
-			if status == sat.Sat {
-				_, err = st.DecodeVerify(solver.Model())
-			}
-			pool.Put(solver)
+			got, err := s.Solve(ctx, in.g, in.k, &pool, sat.Options{ProofWriter: &gotProof})
 
 			name := in.name + "/" + s.Name()
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", name, in.k, err)
 			}
-			if status != want.Status || conflicts != want.Stats.Conflicts {
+			if got.Status != want.Status || got.Stats.Conflicts != want.Stats.Conflicts {
 				t.Fatalf("%s k=%d: streamed %v after %d conflicts, formula %v after %d",
-					name, in.k, status, conflicts, want.Status, want.Stats.Conflicts)
+					name, in.k, got.Status, got.Stats.Conflicts, want.Status, want.Stats.Conflicts)
 			}
-			if vars, clauses := st.NumVars, st.StructuralClauses+st.ConflictClauses; vars != e.CNF.NumVars || clauses != e.CNF.NumClauses() {
+			if got.Vars != e.CNF.NumVars || got.Clauses != e.CNF.NumClauses() {
 				t.Fatalf("%s k=%d: streamed %d vars %d clauses, formula %d vars %d clauses",
-					name, in.k, vars, clauses, e.CNF.NumVars, e.CNF.NumClauses())
+					name, in.k, got.Vars, got.Clauses, e.CNF.NumVars, e.CNF.NumClauses())
 			}
 			if !bytes.Equal(gotProof.Bytes(), wantProof.Bytes()) {
 				t.Fatalf("%s k=%d: streamed DRAT log (%d bytes) differs from the formula's (%d bytes)",
 					name, in.k, gotProof.Len(), wantProof.Len())
 			}
-			if status == sat.Unsat {
+			if got.Status == sat.Unsat {
 				unsat++
 				if err := sat.CheckDRAT(e.CNF, &gotProof); err != nil {
 					t.Fatalf("%s k=%d: streamed DRAT log rejected: %v", name, in.k, err)

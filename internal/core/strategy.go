@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"fpgasat/internal/graph"
+	"fpgasat/internal/sat"
 	"fpgasat/internal/symmetry"
 )
 
@@ -66,6 +69,48 @@ func (s Strategy) EncodeGraph(g *graph.Graph, k int) *Encoded {
 	enc.CNF.Comments = append(enc.CNF.Comments,
 		fmt.Sprintf("symmetry: %s", orDash(string(s.Symmetry))))
 	return enc
+}
+
+// Solved is the outcome of one strategy deciding one coloring, the unit
+// of work that Table 2 costs as "translation to CNF + SAT solving".
+type Solved struct {
+	Status sat.Status
+	Colors []int // the verified coloring, for Sat
+	// EncodeTime covers taking a solver, symmetry breaking and streaming
+	// the clauses into the solver; SolveTime covers the search plus
+	// decoding and verifying a model.
+	EncodeTime time.Duration
+	SolveTime  time.Duration
+	Vars       int
+	Clauses    int
+	Stats      sat.Stats
+}
+
+// Solve decides the k-coloring of g under the strategy. It builds the
+// symmetry-broken CSP, streams its encoding into a solver from pool (a
+// nil pool gives a fresh solver) configured with opts, and solves under
+// ctx, returning Unknown once ctx is cancelled. A Sat model is decoded
+// and verified; a model that fails verification is returned as an error,
+// with status Sat and no coloring. The solver goes back to the pool only
+// when nothing panicked.
+func (s Strategy) Solve(ctx context.Context, g *graph.Graph, k int, pool *sat.Pool, opts sat.Options) (Solved, error) {
+	start := time.Now()
+	solver := pool.Get(opts)
+	enc := EncodeInto(BuildCSP(g, k, s.Symmetry), s.Encoding, sat.SolverSink{S: solver})
+	res := Solved{Vars: enc.NumVars, Clauses: enc.StructuralClauses + enc.ConflictClauses}
+	encoded := time.Now()
+	res.EncodeTime = encoded.Sub(start)
+	res.Status = solver.SolveAssumingContext(ctx)
+	res.Stats = solver.Stats
+	var err error
+	if res.Status == sat.Sat {
+		res.Colors, err = enc.DecodeVerify(solver.Model())
+	}
+	res.SolveTime = time.Since(encoded)
+	// Not deferred: a panicking solve must abandon the solver rather
+	// than return its state to the pool.
+	pool.Put(solver)
+	return res, err
 }
 
 func orDash(s string) string {

@@ -28,19 +28,15 @@ import (
 
 // Timing is the cost breakdown of one (instance, strategy, width)
 // solve, mirroring the paper's "translation to graph coloring +
-// translation to CNF + SAT solving" accounting.
+// translation to CNF + SAT solving" accounting: Translate, then the
+// solve's EncodeTime and SolveTime.
 type Timing struct {
+	core.Solved
 	Translate time.Duration // netlist -> global routing -> conflict graph
-	Encode    time.Duration // symmetry breaking + CNF generation
-	Solve     time.Duration
-	Status    sat.Status
-	Conflicts int64
-	Vars      int
-	Clauses   int
 }
 
 // Total returns the end-to-end time, the quantity Table 2 reports.
-func (t Timing) Total() time.Duration { return t.Translate + t.Encode + t.Solve }
+func (t Timing) Total() time.Duration { return t.Translate + t.EncodeTime + t.SolveTime }
 
 // RunStrategy times one strategy on a prebuilt conflict graph, solved
 // with the given solver options. The translate duration is supplied by
@@ -49,33 +45,13 @@ func (t Timing) Total() time.Duration { return t.Translate + t.Encode + t.Solve 
 // when non-nil, supplies the solver, so a sweep reuses clause-arena and
 // watch-list capacity between runs; nil solves on a fresh solver.
 func RunStrategy(g *graph.Graph, k int, s core.Strategy, opts sat.Options, translate, timeout time.Duration, pool *sat.Pool) Timing {
-	encStart := time.Now()
-	enc := s.EncodeGraph(g, k)
-	encDur := time.Since(encStart)
-
 	ctx, cancel := withTimeout(timeout)
 	defer cancel()
-	solveStart := time.Now()
-	res := sat.SolveCNFReusing(ctx, pool, enc.CNF, opts)
-	solveDur := time.Since(solveStart)
-
-	// For satisfiable results, decoding and verification are part of
-	// the flow's correctness guarantee; include them in solve time.
-	if res.Status == sat.Sat {
-		if _, err := enc.DecodeVerify(res.Model); err != nil {
-			panic(fmt.Sprintf("experiments: %s produced an invalid model: %v", s.Name(), err))
-		}
-		solveDur = time.Since(solveStart)
+	res, err := s.Solve(ctx, g, k, pool, opts)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s produced an invalid model: %v", s.Name(), err))
 	}
-	return Timing{
-		Translate: translate,
-		Encode:    encDur,
-		Solve:     solveDur,
-		Status:    res.Status,
-		Conflicts: res.Stats.Conflicts,
-		Vars:      enc.CNF.NumVars,
-		Clauses:   enc.CNF.NumClauses(),
-	}
+	return Timing{Solved: res, Translate: translate}
 }
 
 // withTimeout returns a context that expires after d, or never when d

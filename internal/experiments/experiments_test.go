@@ -8,6 +8,8 @@ import (
 
 	"fpgasat/internal/core"
 	"fpgasat/internal/mcnc"
+	"fpgasat/internal/obs"
+	"fpgasat/internal/portfolio"
 	"fpgasat/internal/sat"
 	"fpgasat/internal/symmetry"
 )
@@ -199,22 +201,35 @@ func TestGridCalibrationBroken(t *testing.T) {
 	}
 }
 
+// TestPortfolioSmoke runs the portfolio study on two instances. Its
+// three columns race through one portfolio.Run loop, so each instance
+// crowns three winners, the single strategy's one-lane run included.
 func TestPortfolioSmoke(t *testing.T) {
+	reg := obs.NewRegistry()
 	r, err := RunPortfolio(PortfolioConfig{
 		Instances: quickInstances(t),
 		Timeout:   2 * time.Minute,
+		Obs:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Instances) != 2 || len(r.P3) != 2 || len(r.Winners3) != 2 {
+	if len(r.Instances) != 2 || len(r.Columns) != 3 {
 		t.Fatalf("result shape: %+v", r)
 	}
-	if r.TotalSingle <= 0 || r.TotalP2 <= 0 || r.TotalP3 <= 0 {
-		t.Fatal("nonpositive totals")
+	for ci, c := range r.Columns {
+		if len(c.Times) != 2 || len(c.Winners) != 2 || c.Total <= 0 || r.Speedup(ci) <= 0 {
+			t.Fatalf("column %s: %+v", c.Name, c)
+		}
 	}
-	if r.SpeedupP2() <= 0 || r.SpeedupP3() <= 0 {
-		t.Fatal("nonpositive speedups")
+	var wins int64
+	for name, n := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, portfolio.MetricWins+".") {
+			wins += n
+		}
+	}
+	if wins != 3*int64(len(r.Instances)) {
+		t.Errorf("%s.* counters sum to %d, want 3 per instance", portfolio.MetricWins, wins)
 	}
 	if !strings.Contains(r.Markdown(), "Portfolio study") {
 		t.Error("markdown missing header")

@@ -105,7 +105,7 @@ func strategyColumns(specs ...string) []Column {
 
 // solveTime is a cell's SAT solving time alone, the quantity a solver
 // comparison measures.
-func solveTime(t Timing) time.Duration { return t.Solve }
+func solveTime(t Timing) time.Duration { return t.SolveTime }
 
 // columnTotals sums cellTime down every column of side si, and reports
 // which columns hold a timed-out cell.
@@ -374,7 +374,7 @@ func (r *GridResult) TreeMarkdown() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "### ITE-tree shape ablation on %s\n\n", r.Instances[0])
 	sb.WriteString("Same domain, different tree structure (Sect. 3): satisfiability is invariant, solve effort is not.\n\n")
-	encodeSolve := func(t Timing) time.Duration { return t.Encode + t.Solve }
+	encodeSolve := func(t Timing) time.Duration { return t.EncodeTime + t.SolveTime }
 	unsat, routable := r.Cells[0][0], r.Cells[0][1]
 	var rows [][]string
 	for ci, c := range r.Columns {
@@ -382,7 +382,7 @@ func (r *GridResult) TreeMarkdown() string {
 			c.Name,
 			fmtCell(unsat[ci], encodeSolve),
 			fmtCell(routable[ci], encodeSolve),
-			fmt.Sprintf("%d", unsat[ci].Conflicts),
+			fmt.Sprintf("%d", unsat[ci].Stats.Conflicts),
 		})
 	}
 	sb.WriteString(markdownTable([]string{"Tree shape", "unsat W-1 [s]", "sat W [s]", "unsat conflicts"}, rows))

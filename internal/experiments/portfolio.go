@@ -21,18 +21,27 @@ type PortfolioConfig struct {
 	// Obs, when non-nil, receives per-strategy portfolio telemetry
 	// (encode/solve timers, CNF sizes, wins, winner margin).
 	Obs *obs.Registry
-	// Pool, when non-nil, supplies reusable solvers to the single-
-	// strategy baseline and every portfolio lane; nil keeps the
-	// portfolio's package lane pool and fresh baseline solvers.
+	// Pool, when non-nil, supplies reusable solvers to every lane; nil
+	// keeps the portfolio's package lane pool.
 	Pool *sat.Pool
-	// Verify and VerifyUnsat enable paranoid-mode answer checking of
-	// every portfolio run; LaneTimeout and MaxRetries configure the
-	// per-lane watchdog and budgeted retry policy (see
-	// portfolio.Options).
+	// Verify enables paranoid-mode answer checking; LaneTimeout and
+	// MaxRetries configure the per-lane watchdog and budgeted retry
+	// policy (see portfolio.Options). Every column runs with them.
 	Verify      bool
-	VerifyUnsat bool
 	LaneTimeout time.Duration
 	MaxRetries  int
+}
+
+// PortfolioColumn is one column of the portfolio study: a lane set
+// raced on every instance.
+type PortfolioColumn struct {
+	Name    string
+	Members []core.Strategy
+	// Per instance: wall clock, translation included, and the winning
+	// strategy.
+	Times   []time.Duration
+	Winners []string
+	Total   time.Duration
 }
 
 // PortfolioResult compares the best single strategy against the
@@ -40,80 +49,64 @@ type PortfolioConfig struct {
 // configurations.
 type PortfolioResult struct {
 	Instances []string
-	// Per instance: single strategy, portfolio of 2, portfolio of 3.
-	Single, P2, P3 []time.Duration
-	// Winners3[i] is the winning strategy of the 3-portfolio.
-	Winners3    []string
-	TotalSingle time.Duration
-	TotalP2     time.Duration
-	TotalP3     time.Duration
+	// Columns are the single strategy, the portfolio of 2 and the
+	// portfolio of 3.
+	Columns []PortfolioColumn
 }
 
-// RunPortfolio measures wall-clock time of (a) the best single
+// RunPortfolio measures the wall-clock time of (a) the best single
 // strategy ITE-linear-2+muldirect/s1, (b) the paper's 2-strategy
 // portfolio and (c) its 3-strategy portfolio on each unroutable
-// configuration. Portfolio members run concurrently; on a single-core
-// host the portfolio's advantage comes purely from strategy variance
-// (see EXPERIMENTS.md).
+// configuration. All three run through portfolio.Run with the same
+// options, the single strategy as a one-lane portfolio, so paranoid
+// checks, watchdogs and retries cost every column alike. Portfolio
+// members run concurrently; on a single-core host the portfolio's
+// advantage comes purely from strategy variance (see EXPERIMENTS.md).
 func RunPortfolio(cfg PortfolioConfig) (*PortfolioResult, error) {
 	if cfg.Instances == nil {
 		cfg.Instances = mcnc.Table2Instances()
-	}
-	single, err := core.ParseStrategy("ITE-linear-2+muldirect/s1")
-	if err != nil {
-		return nil, err
-	}
-	p2, err := portfolio.PaperPortfolio2()
-	if err != nil {
-		return nil, err
 	}
 	p3, err := portfolio.PaperPortfolio3()
 	if err != nil {
 		return nil, err
 	}
-	laneOpts := portfolio.Options{
+	res := &PortfolioResult{Columns: []PortfolioColumn{
+		{Name: p3[0].Name(), Members: p3[:1]},
+		{Name: "portfolio of 2", Members: p3[:2]},
+		{Name: "portfolio of 3", Members: p3},
+	}}
+	opts := portfolio.Options{
 		Metrics:     cfg.Obs,
 		Pool:        cfg.Pool,
 		Verify:      cfg.Verify,
-		VerifyUnsat: cfg.VerifyUnsat,
 		LaneTimeout: cfg.LaneTimeout,
 		MaxRetries:  cfg.MaxRetries,
 	}
-	res := &PortfolioResult{}
 	for _, in := range cfg.Instances {
 		g, translate, err := BuildInstance(in)
 		if err != nil {
 			return nil, err
 		}
 		w := in.UnroutableW()
-
-		t := RunStrategy(g, w, single, sat.Options{}, translate, cfg.Timeout, cfg.Pool)
-		res.Single = append(res.Single, t.Total())
-		res.TotalSingle += t.Total()
-
-		for pi, members := range [][]core.Strategy{p2, p3} {
+		for ci := range res.Columns {
+			col := &res.Columns[ci]
 			start := time.Now()
 			ctx, cancel := withTimeout(cfg.Timeout)
-			winner, _, err := portfolio.Run(ctx, g, w, members, laneOpts)
+			winner, _, err := portfolio.Run(ctx, g, w, col.Members, opts)
 			cancel()
 			if err != nil {
-				return nil, fmt.Errorf("experiments: %s portfolio: %w", in.Name, err)
+				return nil, fmt.Errorf("experiments: %s %s: %w", in.Name, col.Name, err)
 			}
 			if winner.Status == sat.Sat {
 				return nil, fmt.Errorf("experiments: %s at W=%d claims routable; calibration broken", in.Name, w)
 			}
 			elapsed := translate + time.Since(start)
-			if pi == 0 {
-				res.P2 = append(res.P2, elapsed)
-				res.TotalP2 += elapsed
-			} else {
-				res.P3 = append(res.P3, elapsed)
-				res.TotalP3 += elapsed
-				res.Winners3 = append(res.Winners3, winner.Strategy.Name())
-			}
+			col.Times = append(col.Times, elapsed)
+			col.Winners = append(col.Winners, winner.Strategy.Name())
+			col.Total += elapsed
 			if cfg.Progress != nil {
-				fmt.Fprintf(cfg.Progress, "%-10s portfolio-%d %8.2fs winner=%s\n",
-					in.Name, pi+2, elapsed.Seconds(), winner.Strategy.Name())
+				fmt.Fprintf(cfg.Progress, "%-10s %-25s %8.2fs winner=%s\n",
+					in.Name, col.Name, elapsed.Seconds(), winner.Strategy.Name())
 			}
 		}
 		res.Instances = append(res.Instances, in.Name)
@@ -121,35 +114,34 @@ func RunPortfolio(cfg PortfolioConfig) (*PortfolioResult, error) {
 	return res, nil
 }
 
-// SpeedupP2 returns total single / total 2-portfolio.
-func (r *PortfolioResult) SpeedupP2() float64 {
-	return r.TotalSingle.Seconds() / r.TotalP2.Seconds()
-}
-
-// SpeedupP3 returns total single / total 3-portfolio.
-func (r *PortfolioResult) SpeedupP3() float64 {
-	return r.TotalSingle.Seconds() / r.TotalP3.Seconds()
+// Speedup returns column 0's total over column ci's.
+func (r *PortfolioResult) Speedup(ci int) float64 {
+	return r.Columns[0].Total.Seconds() / r.Columns[ci].Total.Seconds()
 }
 
 // Markdown renders the comparison.
 func (r *PortfolioResult) Markdown() string {
 	var sb strings.Builder
 	sb.WriteString("### Portfolio study — wall-clock time [s] proving unroutability at W-1\n\n")
-	header := []string{"Benchmark", "ITE-linear-2+muldirect/s1", "portfolio of 2", "portfolio of 3", "3-portfolio winner"}
+	header := []string{"Benchmark"}
+	total := []string{"**Total**"}
+	speedup := []string{"**Speedup vs single**"}
+	for ci, c := range r.Columns {
+		header = append(header, c.Name)
+		total = append(total, fmtDur(c.Total, false))
+		speedup = append(speedup, fmt.Sprintf("%.2f×", r.Speedup(ci)))
+	}
+	header = append(header, "3-portfolio winner")
+	last := r.Columns[len(r.Columns)-1]
 	var rows [][]string
 	for i, name := range r.Instances {
-		rows = append(rows, []string{
-			name,
-			fmtDur(r.Single[i], false),
-			fmtDur(r.P2[i], false),
-			fmtDur(r.P3[i], false),
-			r.Winners3[i],
-		})
+		row := []string{name}
+		for _, c := range r.Columns {
+			row = append(row, fmtDur(c.Times[i], false))
+		}
+		rows = append(rows, append(row, last.Winners[i]))
 	}
-	rows = append(rows, []string{"**Total**",
-		fmtDur(r.TotalSingle, false), fmtDur(r.TotalP2, false), fmtDur(r.TotalP3, false), ""})
-	rows = append(rows, []string{"**Speedup vs single**", "1.00×",
-		fmt.Sprintf("%.2f×", r.SpeedupP2()), fmt.Sprintf("%.2f×", r.SpeedupP3()), ""})
+	rows = append(rows, append(total, ""), append(speedup, ""))
 	sb.WriteString(markdownTable(header, rows))
 	return sb.String()
 }

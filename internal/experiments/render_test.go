@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fpgasat/internal/core"
 	"fpgasat/internal/sat"
 )
 
@@ -31,14 +32,14 @@ func TestPinnedRenders(t *testing.T) {
 			Columns:   columns("muldirect/-", "ITE-log/b1", "ITE-log/s1"),
 			Cells: [][][]Timing{
 				{{
-					{Translate: ms(10), Encode: ms(20), Solve: ms(12500), Status: sat.Unsat},
-					{Translate: ms(10), Encode: ms(5), Solve: ms(401), Status: sat.Unsat},
-					{Translate: ms(10), Encode: ms(6), Solve: ms(92), Status: sat.Unsat},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(20), SolveTime: ms(12500), Status: sat.Unsat}},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(5), SolveTime: ms(401), Status: sat.Unsat}},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(6), SolveTime: ms(92), Status: sat.Unsat}},
 				}},
 				{{
-					{Translate: ms(30), Encode: ms(40), Solve: ms(101000), Status: sat.Unsat},
-					{Translate: ms(30), Encode: ms(7), Solve: ms(1234), Status: sat.Unsat},
-					{Translate: ms(30), Encode: ms(8), Solve: ms(2718), Status: sat.Unsat},
+					{Translate: ms(30), Solved: core.Solved{EncodeTime: ms(40), SolveTime: ms(101000), Status: sat.Unsat}},
+					{Translate: ms(30), Solved: core.Solved{EncodeTime: ms(7), SolveTime: ms(1234), Status: sat.Unsat}},
+					{Translate: ms(30), Solved: core.Solved{EncodeTime: ms(8), SolveTime: ms(2718), Status: sat.Unsat}},
 				}},
 			},
 		}).Table2Markdown()
@@ -49,12 +50,12 @@ func TestPinnedRenders(t *testing.T) {
 			Columns:   columns("muldirect", "ITE-log"),
 			Cells: [][][]Timing{
 				{{
-					{Translate: ms(10), Encode: ms(20), Solve: ms(33), Status: sat.Sat},
-					{Translate: ms(10), Encode: ms(4), Solve: ms(15), Status: sat.Sat},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(20), SolveTime: ms(33), Status: sat.Sat}},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(4), SolveTime: ms(15), Status: sat.Sat}},
 				}},
 				{{
-					{Translate: ms(30), Encode: ms(40), Solve: ms(9870), Status: sat.Sat},
-					{Translate: ms(30), Encode: ms(7), Solve: ms(61), Status: sat.Sat},
+					{Translate: ms(30), Solved: core.Solved{EncodeTime: ms(40), SolveTime: ms(9870), Status: sat.Sat}},
+					{Translate: ms(30), Solved: core.Solved{EncodeTime: ms(7), SolveTime: ms(61), Status: sat.Sat}},
 				}},
 			},
 		}).RoutableMarkdown()
@@ -67,12 +68,12 @@ func TestPinnedRenders(t *testing.T) {
 			Columns:   columns("luby", "geometric"),
 			Cells: [][][]Timing{
 				{
-					{{Translate: ms(10), Encode: ms(5), Solve: ms(812), Status: sat.Unsat}, {Translate: ms(10), Encode: ms(5), Solve: ms(1650), Status: sat.Unsat}},
-					{{Translate: ms(10), Encode: ms(6), Solve: ms(21), Status: sat.Sat}, {Translate: ms(10), Encode: ms(6), Solve: ms(18), Status: sat.Sat}},
+					{{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(5), SolveTime: ms(812), Status: sat.Unsat}}, {Translate: ms(10), Solved: core.Solved{EncodeTime: ms(5), SolveTime: ms(1650), Status: sat.Unsat}}},
+					{{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(6), SolveTime: ms(21), Status: sat.Sat}}, {Translate: ms(10), Solved: core.Solved{EncodeTime: ms(6), SolveTime: ms(18), Status: sat.Sat}}},
 				},
 				{
-					{{Translate: ms(30), Encode: ms(7), Solve: ms(96), Status: sat.Unsat}, {Translate: ms(30), Encode: ms(7), Solve: ms(133), Status: sat.Unsat}},
-					{{Translate: ms(30), Encode: ms(8), Solve: ms(12), Status: sat.Sat}, {Translate: ms(30), Encode: ms(8), Solve: ms(14), Status: sat.Sat}},
+					{{Translate: ms(30), Solved: core.Solved{EncodeTime: ms(7), SolveTime: ms(96), Status: sat.Unsat}}, {Translate: ms(30), Solved: core.Solved{EncodeTime: ms(7), SolveTime: ms(133), Status: sat.Unsat}}},
+					{{Translate: ms(30), Solved: core.Solved{EncodeTime: ms(8), SolveTime: ms(12), Status: sat.Sat}}, {Translate: ms(30), Solved: core.Solved{EncodeTime: ms(8), SolveTime: ms(14), Status: sat.Sat}}},
 				},
 			},
 		}).SolverMarkdown()
@@ -84,14 +85,14 @@ func TestPinnedRenders(t *testing.T) {
 			Columns:   columns("ITE-tree-linear", "ITE-tree-balanced", "ITE-tree-random-0"),
 			Cells: [][][]Timing{{
 				{
-					{Translate: ms(10), Encode: ms(4), Solve: ms(21), Status: sat.Unsat, Conflicts: 1691},
-					{Translate: ms(10), Encode: ms(5), Solve: ms(33), Status: sat.Unsat, Conflicts: 3001},
-					{Translate: ms(10), Encode: ms(5), Solve: ms(142), Status: sat.Unsat, Conflicts: 2737},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(4), SolveTime: ms(21), Status: sat.Unsat, Stats: sat.Stats{Conflicts: 1691}}},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(5), SolveTime: ms(33), Status: sat.Unsat, Stats: sat.Stats{Conflicts: 3001}}},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(5), SolveTime: ms(142), Status: sat.Unsat, Stats: sat.Stats{Conflicts: 2737}}},
 				},
 				{
-					{Translate: ms(10), Encode: ms(3), Solve: ms(9), Status: sat.Sat, Conflicts: 12},
-					{Translate: ms(10), Encode: ms(4), Solve: ms(11), Status: sat.Sat, Conflicts: 20},
-					{Translate: ms(10), Encode: ms(4), Solve: ms(8), Status: sat.Sat, Conflicts: 9},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(3), SolveTime: ms(9), Status: sat.Sat, Stats: sat.Stats{Conflicts: 12}}},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(4), SolveTime: ms(11), Status: sat.Sat, Stats: sat.Stats{Conflicts: 20}}},
+					{Translate: ms(10), Solved: core.Solved{EncodeTime: ms(4), SolveTime: ms(8), Status: sat.Sat, Stats: sat.Stats{Conflicts: 9}}},
 				},
 			}},
 		}).TreeMarkdown()
@@ -157,8 +158,10 @@ Same domain, different tree structure (Sect. 3): satisfiability is invariant, so
 // TestTimedOutCellsMarked checks that every view marks a timed-out
 // cell with ">", and the total of its column as a lower bound.
 func TestTimedOutCellsMarked(t *testing.T) {
-	done := func(d int, st sat.Status) Timing { return Timing{Encode: ms(d), Solve: ms(d), Status: st} }
-	capped := Timing{Encode: ms(5), Solve: ms(2000), Status: sat.Unknown}
+	done := func(d int, st sat.Status) Timing {
+		return Timing{Solved: core.Solved{EncodeTime: ms(d), SolveTime: ms(d), Status: st}}
+	}
+	capped := Timing{Solved: core.Solved{EncodeTime: ms(5), SolveTime: ms(2000), Status: sat.Unknown}}
 	routable := &GridResult{
 		Instances: []string{"alu2", "too_large"},
 		Columns:   columns("a", "b"),

@@ -233,11 +233,11 @@ func TestDecodedRoutingVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, colors, err := s.EncodeGraph(g, in.RoutableW).SolveContext(context.Background(), sat.Options{})
-	if err != nil || st != sat.Sat {
-		t.Fatalf("%v %v", st, err)
+	res, err := s.Solve(context.Background(), g, in.RoutableW, nil, sat.Options{})
+	if err != nil || res.Status != sat.Sat {
+		t.Fatalf("%v %v", res.Status, err)
 	}
-	if err := coloring.Verify(g, colors, in.RoutableW); err != nil {
+	if err := coloring.Verify(g, res.Colors, in.RoutableW); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -79,17 +79,14 @@ type Options struct {
 	// ConflictBudget (when positive) is the unit the retry schedule
 	// escalates.
 	Solver sat.Options
-	// Verify enables paranoid mode for Sat answers: the decoded
-	// coloring is re-checked against the graph's conflict edges before
-	// the lane's answer can be crowned, and a violation surfaces as a
-	// *robust.SoundnessError naming the strategy.
+	// Verify enables paranoid mode: before a lane's answer can be
+	// crowned, a Sat answer's decoded coloring is re-checked against the
+	// graph's conflict edges, and an Unsat answer is replayed: re-solved
+	// with a DRAT proof writer, the proof checked with sat.CheckDRAT. A
+	// failed check, or a replay that finds a satisfying assignment, is a
+	// *robust.SoundnessError naming the strategy. (A replay cancelled
+	// mid-flight is inconclusive, not unsound.)
 	Verify bool
-	// VerifyUnsat additionally replays Unsat answers: the formula is
-	// re-encoded and re-solved with a DRAT proof writer, and the proof
-	// is checked with sat.CheckDRAT. A replay that finds a satisfying
-	// assignment, or a rejected proof, is a *robust.SoundnessError.
-	// (A replay cancelled mid-flight is inconclusive, not unsound.)
-	VerifyUnsat bool
 	// LaneTimeout bounds each lane attempt, and doubles as the
 	// watchdog grace period: once the run is decided (winner found or
 	// caller cancelled), lanes that stay unresponsive for one more
@@ -242,7 +239,6 @@ collect:
 				}
 				results[i] = Result{
 					Strategy: strategies[i],
-					Status:   sat.Unknown,
 					Err: fmt.Errorf("portfolio: lane %s unresponsive for %v after cancellation; %w",
 						strategies[i].Name(), opts.LaneTimeout, ErrAbandoned),
 				}
@@ -357,7 +353,7 @@ func runLane(ctx context.Context, g *graph.Graph, k int, s core.Strategy, opts O
 // portfolio.panics counter, and abandons the lane's solver (a crashed
 // solver's state is suspect and must not re-enter the pool).
 func runAttempt(ctx context.Context, g *graph.Graph, k int, s core.Strategy, opts Options, solverOpts sat.Options) (res Result) {
-	res = Result{Strategy: s, Status: sat.Unknown}
+	res = Result{Strategy: s}
 	name := s.Name()
 	reg := opts.Metrics
 	start := time.Now()
@@ -379,40 +375,23 @@ func runAttempt(ctx context.Context, g *graph.Graph, k int, s core.Strategy, opt
 		return res // cancelled before this member even encoded
 	}
 
-	solver := opts.Pool.Get(solverOpts)
-	span := reg.StartSpan(MetricEncode + "." + name)
-	csp := core.BuildCSP(g, k, s.Symmetry)
-	enc := core.EncodeInto(csp, s.Encoding, sat.SolverSink{S: solver})
-	res.EncodeTime = span.End()
-	res.Vars = enc.NumVars
-	res.Clauses = enc.StructuralClauses + enc.ConflictClauses
+	solved, err := s.Solve(ctx, g, k, opts.Pool, solverOpts)
+	res.Solved = solved
+	if err != nil {
+		// A model that fails decode-verification is an encoding
+		// soundness bug, not a lane hiccup.
+		res.Err = &robust.SoundnessError{Strategy: name, Claim: "Sat", Err: err}
+		res.Status = sat.Unknown
+	}
 	if reg != nil {
+		reg.Timer(MetricEncode + "." + name).Observe(res.EncodeTime)
+		reg.Timer(MetricSolve + "." + name).Observe(res.SolveTime)
 		reg.Gauge(MetricCNFVars + "." + name).Set(int64(res.Vars))
 		reg.Gauge(MetricCNFClauses + "." + name).Set(int64(res.Clauses))
 	}
 
-	span = reg.StartSpan(MetricSolve + "." + name)
-	st := solver.SolveAssumingContext(ctx)
-	res.Status = st
-	res.Stats = solver.Stats
-	if st == sat.Sat {
-		colors, err := enc.DecodeVerify(solver.Model())
-		res.Colors = colors
-		if err != nil {
-			// A model that fails decode-verification is an encoding
-			// soundness bug, not a lane hiccup.
-			res.Err = &robust.SoundnessError{Strategy: name, Claim: "Sat", Err: err}
-			res.Status = sat.Unknown
-			res.Colors = nil
-		}
-	}
-	res.SolveTime = span.End()
-	// The solve is over and the model decoded: return the solver before
-	// the (potentially slow) paranoid checks so other work can reuse it.
-	opts.Pool.Put(solver)
-
 	robust.Hit(robust.FPPortfolioLaneResult, name, &res)
-	if res.Err == nil {
+	if res.Err == nil && opts.Verify {
 		verifyAnswer(ctx, g, k, s, opts, &res)
 	}
 	res.Elapsed = time.Since(start)
@@ -428,9 +407,6 @@ func verifyAnswer(ctx context.Context, g *graph.Graph, k int, s core.Strategy, o
 	reg := opts.Metrics
 	switch res.Status {
 	case sat.Sat:
-		if !opts.Verify {
-			return
-		}
 		if err := coloring.Verify(g, res.Colors, k); err != nil {
 			res.Err = &robust.SoundnessError{Strategy: s.Name(), Claim: "Sat", Err: err}
 			res.Status = sat.Unknown
@@ -441,9 +417,6 @@ func verifyAnswer(ctx context.Context, g *graph.Graph, k int, s core.Strategy, o
 			reg.Counter(MetricVerifySat).Inc()
 		}
 	case sat.Unsat:
-		if !opts.VerifyUnsat {
-			return
-		}
 		verified, err := replayUnsat(ctx, g, k, s, opts.Pool)
 		if err != nil {
 			res.Err = &robust.SoundnessError{Strategy: s.Name(), Claim: "Unsat", Err: err}
@@ -456,25 +429,26 @@ func verifyAnswer(ctx context.Context, g *graph.Graph, k int, s core.Strategy, o
 	}
 }
 
-// replayUnsat re-encodes the lane's problem as a materialized formula,
-// re-solves it with a DRAT proof writer and checks the proof — the
-// strongest independent evidence of unsatisfiability this module can
-// produce. The replay validates the solver, and cross-checks the
-// lane's claim against a second solve; encoding-level unsoundness that
-// both runs share is instead caught by the portfolio's Sat/Unsat and
-// minimum-width disagreement guards. Returns (false, nil) when the
-// replay was cancelled mid-flight: inconclusive, not unsound.
+// replayUnsat re-solves the lane's problem with a DRAT proof writer and
+// checks the proof against the buffered formula — the strongest
+// independent evidence of unsatisfiability this module can produce. The
+// replay validates the solver, and cross-checks the lane's claim against
+// a second solve; encoding-level unsoundness that both runs share is
+// instead caught by the portfolio's Sat/Unsat and minimum-width
+// disagreement guards. Returns (false, nil) when the replay was
+// cancelled mid-flight: inconclusive, not unsound.
 func replayUnsat(ctx context.Context, g *graph.Graph, k int, s core.Strategy, pool *sat.Pool) (bool, error) {
-	enc := s.EncodeGraph(g, k)
 	var proof bytes.Buffer
-	r := sat.SolveCNFReusing(ctx, pool, enc.CNF, sat.Options{ProofWriter: &proof})
+	// Solve's error only comes with a Sat status, which fails the
+	// replay anyway.
+	r, _ := s.Solve(ctx, g, k, pool, sat.Options{ProofWriter: &proof})
 	switch r.Status {
 	case sat.Sat:
 		return false, fmt.Errorf("replay of the encoded formula found a satisfying assignment")
 	case sat.Unknown:
 		return false, nil
 	}
-	if err := sat.CheckDRAT(enc.CNF, bytes.NewReader(proof.Bytes())); err != nil {
+	if err := sat.CheckDRAT(s.EncodeGraph(g, k).CNF, &proof); err != nil {
 		return false, fmt.Errorf("DRAT replay certificate rejected: %w", err)
 	}
 	return true, nil

@@ -191,7 +191,7 @@ func TestVerifyUnsatCatchesFlippedStatus(t *testing.T) {
 	})
 	t.Cleanup(func() { robust.ClearFailpoint(robust.FPPortfolioLaneResult) })
 
-	_, _, err := Run(context.Background(), g, 4, strategies, Options{VerifyUnsat: true})
+	_, _, err := Run(context.Background(), g, 4, strategies, Options{Verify: true})
 	se, ok := robust.AsSoundness(err)
 	if !ok {
 		t.Fatalf("lying Unsat answer not caught: err = %v", err)
@@ -206,7 +206,7 @@ func TestVerifyUnsatCatchesFlippedStatus(t *testing.T) {
 func TestVerifyHappyPaths(t *testing.T) {
 	strategies := Must(PaperPortfolio2())
 	reg := obs.NewRegistry()
-	opts := Options{Metrics: reg, Verify: true, VerifyUnsat: true}
+	opts := Options{Metrics: reg, Verify: true}
 
 	winner, _, err := Run(context.Background(), graph.Complete(5), 5, strategies, opts)
 	if err != nil || winner.Status != sat.Sat {

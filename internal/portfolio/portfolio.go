@@ -18,7 +18,7 @@ import (
 // Metric names emitted by Run. Per-strategy metrics append
 // "." plus the strategy name (e.g. "portfolio.solve.ITE-log/s1").
 const (
-	MetricEncode       = "portfolio.encode"           // timer: CNF generation per strategy
+	MetricEncode       = "portfolio.encode"           // timer: encoding into the lane solver per strategy
 	MetricSolve        = "portfolio.solve"            // timer: SAT solve + decode per strategy
 	MetricCNFVars      = "portfolio.cnf_vars"         // gauge per strategy
 	MetricCNFClauses   = "portfolio.cnf_clauses"      // gauge per strategy
@@ -26,20 +26,13 @@ const (
 	MetricWinnerMargin = "portfolio.winner_margin_ns" // gauge: runner-up lag behind the winner
 )
 
-// Result is the outcome of one strategy within a portfolio run.
+// Result is the outcome of one strategy within a portfolio run: its
+// last attempt's solve, whose EncodeTime + SolveTime ≈ Elapsed.
 type Result struct {
+	core.Solved
 	Strategy core.Strategy
-	Status   sat.Status
-	Colors   []int // decoded coloring for Sat results
 	Elapsed  time.Duration
-	// Telemetry: where the strategy's time went and how big its CNF
-	// was. EncodeTime + SolveTime ≈ Elapsed.
-	EncodeTime time.Duration
-	SolveTime  time.Duration
-	Vars       int
-	Clauses    int
-	Stats      sat.Stats
-	Winner     bool
+	Winner   bool
 	// Attempts counts how many times the lane ran, ≥ 2 when the retry
 	// policy re-ran it with an escalated conflict budget.
 	Attempts int

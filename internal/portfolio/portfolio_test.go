@@ -109,8 +109,8 @@ func TestCombineDetectsDisagreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := []Result{
-		{Strategy: ss[0], Status: sat.Sat, Elapsed: time.Second},
-		{Strategy: ss[1], Status: sat.Unsat, Elapsed: 2 * time.Second},
+		{Strategy: ss[0], Solved: core.Solved{Status: sat.Sat}, Elapsed: time.Second},
+		{Strategy: ss[1], Solved: core.Solved{Status: sat.Unsat}, Elapsed: 2 * time.Second},
 	}
 	if _, err := combine(results); err == nil {
 		t.Fatal("contradictory Sat/Unsat answers accepted silently")
@@ -130,9 +130,9 @@ func TestCombineIgnoresErroredAndUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := []Result{
-		{Strategy: ss[0], Status: sat.Sat, Elapsed: time.Second, Err: errBroken},
-		{Strategy: ss[1], Status: sat.Unknown, Elapsed: time.Second},
-		{Strategy: ss[2], Status: sat.Unsat, Elapsed: 3 * time.Second},
+		{Strategy: ss[0], Solved: core.Solved{Status: sat.Sat}, Elapsed: time.Second, Err: errBroken},
+		{Strategy: ss[1], Solved: core.Solved{Status: sat.Unknown}, Elapsed: time.Second},
+		{Strategy: ss[2], Solved: core.Solved{Status: sat.Unsat}, Elapsed: 3 * time.Second},
 	}
 	winner, err := combine(results)
 	if err != nil {

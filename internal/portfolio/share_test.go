@@ -45,12 +45,11 @@ func TestSharedPortfolioAgreesWithExact(t *testing.T) {
 		_, want, _ := coloring.KColorable(g, k, 0)
 
 		winner, _, err := Run(context.Background(), g, k, strategies, Options{
-			Metrics:     reg,
-			Seed:        int64(trial + 1),
-			Share:       &share.Options{},
-			Solver:      sat.Options{RestartBase: 2},
-			Verify:      true,
-			VerifyUnsat: true,
+			Metrics: reg,
+			Seed:    int64(trial + 1),
+			Share:   &share.Options{},
+			Solver:  sat.Options{RestartBase: 2},
+			Verify:  true,
 		})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -158,11 +157,10 @@ func TestShareCorruptionCaughtByVerify(t *testing.T) {
 		// lane consumes its peers' round-r exports before starting round
 		// r+1, instead of racing tiny instances to the finish line.
 		winner, _, err := Run(context.Background(), g, k, strategies, Options{
-			Seed:        int64(trial + 1),
-			Share:       &share.Options{Deterministic: true},
-			Solver:      sat.Options{RestartBase: 1},
-			Verify:      true,
-			VerifyUnsat: true,
+			Seed:   int64(trial + 1),
+			Share:  &share.Options{Deterministic: true},
+			Solver: sat.Options{RestartBase: 1},
+			Verify: true,
 		})
 		if err != nil {
 			if _, ok := robust.AsSoundness(err); !ok {

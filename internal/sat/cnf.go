@@ -97,11 +97,6 @@ type Result struct {
 	// Model[v-1].
 	Model []bool
 	Stats Stats
-	// Err is set by supervised wrappers (e.g. Session.SolveCNF) when
-	// the solve failed abnormally — typically a *robust.PanicError from
-	// a crashed solve; Status is Unknown in that case. SolveCNFContext
-	// and SolveCNFReusing leave it nil.
-	Err error
 }
 
 // SolveCNFContext loads the formula into a fresh solver configured with

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fpgasat/internal/core"
 	"fpgasat/internal/portfolio"
 	"fpgasat/internal/robust"
 	"fpgasat/internal/sat"
@@ -138,20 +139,20 @@ func TestSupervisionFailure(t *testing.T) {
 	panicked := robust.NewPanicError("portfolio lane x", "boom")
 	abandoned := fmt.Errorf("portfolio: lane x unresponsive for 1s after cancellation; %w", portfolio.ErrAbandoned)
 	undecided := errors.New("portfolio: no strategy answered within the timeout")
-	unknown := portfolio.Result{Status: sat.Unknown, Attempts: 1}
+	unknown := portfolio.Result{Attempts: 1}
 	for _, tc := range []struct {
 		name string
 		err  error
 		all  []portfolio.Result
 		want bool
 	}{
-		{"lane panic", nil, []portfolio.Result{unknown, {Status: sat.Unknown, Err: panicked}}, true},
+		{"lane panic", nil, []portfolio.Result{unknown, {Err: panicked}}, true},
 		{"run panic", fmt.Errorf("portfolio: strategy x failed: %w", panicked), nil, true},
 		{"soundness", fmt.Errorf("portfolio: %w", &robust.SoundnessError{Strategy: "x", Claim: "Sat", Err: undecided}), nil, true},
-		{"abandoned", undecided, []portfolio.Result{unknown, {Status: sat.Unknown, Err: abandoned}}, true},
+		{"abandoned", undecided, []portfolio.Result{unknown, {Err: abandoned}}, true},
 		{"deadline only", undecided, []portfolio.Result{unknown, unknown}, false},
-		{"budget exhausted", undecided, []portfolio.Result{{Status: sat.Unknown, Attempts: 4}}, false},
-		{"answered", nil, []portfolio.Result{{Status: sat.Unsat, Attempts: 1}, unknown}, false},
+		{"budget exhausted", undecided, []portfolio.Result{{Attempts: 4}}, false},
+		{"answered", nil, []portfolio.Result{{Solved: core.Solved{Status: sat.Unsat}, Attempts: 1}, unknown}, false},
 	} {
 		if got := supervisionFailure(tc.err, tc.all); got != tc.want {
 			t.Errorf("%s: supervisionFailure = %v, want %v", tc.name, got, tc.want)

@@ -835,7 +835,6 @@ func (s *Server) resolveRun(req *SolveRequest) ([]core.Strategy, portfolio.Optio
 	popts := portfolio.Options{
 		Metrics:     s.reg,
 		Verify:      req.Verify || s.opts.Verify,
-		VerifyUnsat: req.Verify || s.opts.Verify,
 		MaxRetries:  req.MaxRetries,
 		Seed:        req.Seed,
 		LaneTimeout: time.Duration(req.LaneTimeoutMS) * time.Millisecond,

@@ -95,26 +95,9 @@ func (s *Session) recordPoolMetrics() {
 	s.metrics.Gauge(MetricPoolOversized).Set(ps.Oversized)
 }
 
-// SolveCNF solves a formula on a pooled solver with context-based
-// cancellation — the session counterpart of SolveCNFContext. The solve
-// is supervised: a panicking solver is converted into a
-// *robust.PanicError in SolveResult.Err (Status Unknown) and its
-// corrupted instance is abandoned instead of returning to the pool.
-func (s *Session) SolveCNF(ctx context.Context, c *CNF, opts SolverOptions) SolveResult {
-	var res SolveResult
-	if err := robust.Capture("session CNF solve", func() {
-		robust.Hit(robust.FPSessionSolve, "cnf")
-		res = sat.SolveCNFReusing(ctx, &s.pool, c, opts)
-	}); err != nil {
-		res = SolveResult{Status: Unknown, Err: err}
-	}
-	s.recordPoolMetrics()
-	return res
-}
-
 // SolveGraph solves the k-coloring of g under one strategy on a pooled
-// solver, streaming the encoding straight into the solver's clause
-// arena (no intermediate CNF). For Sat it returns the verified
+// solver (core.Strategy.Solve: the encoding streams straight into the
+// solver, with no intermediate CNF). For Sat it returns the verified
 // coloring. The solve is supervised: a panic anywhere in encode, solve
 // or decode comes back as a *robust.PanicError (Status Unknown), and
 // the crashed solver is abandoned instead of returning to the pool.
@@ -122,30 +105,17 @@ func (s *Session) SolveGraph(ctx context.Context, g *Graph, k int, strategy Stra
 	if strategy.Encoding == nil {
 		return Unknown, nil, fmt.Errorf("fpgasat: strategy lacks an encoding")
 	}
-	st := Unknown
-	var colors []int
+	var res core.Solved
 	var err error
 	cerr := robust.Capture("session graph solve "+strategy.Name(), func() {
 		robust.Hit(robust.FPSessionSolve, "graph")
-		solver := s.pool.Get(opts)
-		csp := core.BuildCSP(g, k, strategy.Symmetry)
-		enc := core.EncodeInto(csp, strategy.Encoding, sat.SolverSink{S: solver})
-		st = solver.SolveAssumingContext(ctx)
-		if st == Sat {
-			colors, err = enc.DecodeVerify(solver.Model())
-		}
-		// Reached only when the solve did not panic: the solver is
-		// healthy and may be recycled.
-		s.pool.Put(solver)
+		res, err = strategy.Solve(ctx, g, k, &s.pool, opts)
 	})
 	if cerr != nil {
-		st, colors, err = Unknown, nil, cerr
+		res, err = core.Solved{}, cerr
 	}
 	s.recordPoolMetrics()
-	if err != nil {
-		return st, nil, err
-	}
-	return st, colors, nil
+	return res.Status, res.Colors, err
 }
 
 // MinWidth runs the incremental minimum-width search on a pooled

@@ -43,31 +43,3 @@ func TestSessionSolveGraphIsolatesPanic(t *testing.T) {
 		t.Fatalf("crashed solver re-entered the session pool: %+v", stats)
 	}
 }
-
-// TestSessionSolveCNFIsolatesPanic: the CNF entry point reports the
-// captured panic through SolveResult.Err.
-func TestSessionSolveCNFIsolatesPanic(t *testing.T) {
-	robust.SetFailpoint(robust.FPSessionSolve, func(args ...any) { panic("injected session crash") })
-	t.Cleanup(func() { robust.ClearFailpoint(robust.FPSessionSolve) })
-	session := fpgasat.NewSession(nil)
-
-	var c fpgasat.CNF
-	c.AddClause(1, 2)
-	c.AddClause(-1)
-	res := session.SolveCNF(context.Background(), &c, fpgasat.SolverOptions{})
-	if _, ok := robust.AsPanic(res.Err); !ok {
-		t.Fatalf("SolveResult.Err = %v, want *PanicError", res.Err)
-	}
-	if res.Status != fpgasat.Unknown {
-		t.Fatalf("crashed solve reported %v", res.Status)
-	}
-
-	robust.ClearFailpoint(robust.FPSessionSolve)
-	res = session.SolveCNF(context.Background(), &c, fpgasat.SolverOptions{})
-	if res.Err != nil || res.Status != fpgasat.Sat {
-		t.Fatalf("session unusable after isolated crash: %+v", res)
-	}
-	if len(res.Model) < 2 || !res.Model[1] {
-		t.Fatalf("model wrong: %v", res.Model)
-	}
-}
