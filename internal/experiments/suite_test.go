@@ -158,3 +158,25 @@ func TestScanSeedRow(t *testing.T) {
 		t.Errorf("markdown lacks the row:\n%s", r.Markdown())
 	}
 }
+
+// TestScanSeedUnprovedRow: a probe timeout too short for any width
+// probe leaves chi unproved, and the row says so instead of failing
+// the scan.
+func TestScanSeedUnprovedRow(t *testing.T) {
+	in, err := mcnc.ByName("alu2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := ScanSeed(in, in.Gen.Seed, time.Microsecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Chi.Proved || row.Baseline.Status != sat.Unknown || row.Fast != nil {
+		t.Fatalf("chi=%d proved=%v, baseline %v, %d fast timings: want an unproved, untimed row",
+			row.Chi.Chi, row.Chi.Proved, row.Baseline.Status, len(row.Fast))
+	}
+	r := &SeedScanResult{Rows: []SeedRow{row}}
+	if !strings.Contains(r.Markdown(), "| alu2 | 102 | 145 | 1082 | 6 | ? (timeout) |") {
+		t.Errorf("markdown lacks the unproved row:\n%s", r.Markdown())
+	}
+}

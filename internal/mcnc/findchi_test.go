@@ -8,6 +8,7 @@ import (
 	"fpgasat/internal/core"
 	"fpgasat/internal/graph"
 	"fpgasat/internal/obs"
+	"fpgasat/internal/search"
 )
 
 func chiStrategies(t *testing.T, specs ...string) []core.Strategy {
@@ -57,20 +58,83 @@ func TestFindChiCalibrated(t *testing.T) {
 	}
 }
 
-// TestFindChiRacesStrategies exercises the portfolio path (two
-// strategies) on a small graph.
+// TestFindChiRacesStrategies exercises the race (two strategies) on a
+// small graph whose bounds do not meet: C7 has clique 2 and chi 3.
+// Each lane's telemetry lands under its own strategy suffix.
 func TestFindChiRacesStrategies(t *testing.T) {
-	rngGraph := graph.Complete(5)
-	res, err := FindChi(context.Background(), rngGraph,
-		chiStrategies(t, "ITE-log/s1", "direct/s1"), time.Minute, nil)
+	strategies := chiStrategies(t, "ITE-log/s1", "direct/s1")
+	reg := obs.NewRegistry()
+	res, err := FindChi(context.Background(), graph.Cycle(7), strategies, time.Minute, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Chi != 5 || !res.Proved {
-		t.Fatalf("chi=%d proved=%v, want 5/true (K5)", res.Chi, res.Proved)
+	if res.Chi != 3 || !res.Proved || res.LowerBound != 2 {
+		t.Fatalf("chi=%d proved=%v clq=%d, want 3/true/2 (C7)", res.Chi, res.Proved, res.LowerBound)
 	}
-	if res.Strategy == "" {
-		t.Fatal("winner strategy not recorded")
+	if res.Strategy == "" || res.Probes == 0 {
+		t.Fatalf("winner %q with %d probes: the race did not run", res.Strategy, res.Probes)
+	}
+	snap := reg.Snapshot()
+	for _, s := range strategies {
+		if snap.Timers[search.MetricEncode+"."+s.Name()].Count != 1 {
+			t.Errorf("lane %s has no encode timer under its own suffix", s.Name())
+		}
+	}
+}
+
+// TestFindChiCancelled: a run cancelled before it starts proves
+// nothing, with one lane or two, and falls back to DSATUR's coloring.
+func TestFindChiCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := graph.Cycle(7)
+	for _, specs := range [][]string{{"ITE-log/s1"}, {"ITE-log/s1", "direct/s1"}} {
+		res, err := FindChi(ctx, g, chiStrategies(t, specs...), time.Minute, nil)
+		if err != nil {
+			t.Fatalf("%d lanes: %v", len(specs), err)
+		}
+		if res.Proved || res.Chi != res.UpperBound {
+			t.Fatalf("%d lanes: chi=%d proved=%v, want the unproved DSATUR bound %d",
+				len(specs), res.Chi, res.Proved, res.UpperBound)
+		}
+		if err := core.NewCSP(g, res.Chi).Verify(res.Colors); err != nil {
+			t.Fatalf("%d lanes: fallback coloring invalid: %v", len(specs), err)
+		}
+	}
+}
+
+// TestFindChiLaneCountParity: one lane and two lanes answer alike. On
+// alu2 (clique 6, DSATUR 8) a probe timeout too short for any probe
+// leaves DSATUR's 8 unproved; with no timeout both prove chi 7.
+func TestFindChiLaneCountParity(t *testing.T) {
+	in, err := ByName("alu2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, g, err := in.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := chiStrategies(t, "ITE-linear-2+muldirect/s1")
+	two := chiStrategies(t, "ITE-linear-2+muldirect/s1", "ITE-log/s1")
+	for _, tc := range []struct {
+		probeTimeout time.Duration
+		chi          int
+		proved       bool
+	}{
+		{time.Microsecond, 8, false},
+		{0, 7, true},
+	} {
+		for _, strategies := range [][]core.Strategy{one, two} {
+			res, err := FindChi(context.Background(), g, strategies, tc.probeTimeout, nil)
+			if err != nil {
+				t.Fatalf("%d lanes, probe timeout %v: %v", len(strategies), tc.probeTimeout, err)
+			}
+			if res.Chi != tc.chi || res.Proved != tc.proved {
+				t.Fatalf("%d lanes, probe timeout %v: chi=%d proved=%v, want %d/%v",
+					len(strategies), tc.probeTimeout, res.Chi, res.Proved, tc.chi, tc.proved)
+			}
+		}
 	}
 }
 
