@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"fpgasat"
-	"fpgasat/internal/coloring"
 	"fpgasat/internal/core"
 	"fpgasat/internal/fpga"
 	"fpgasat/internal/graph"
@@ -47,9 +46,9 @@ import (
 // -metrics-out.
 var reg = obs.NewRegistry()
 
-// session owns the process-wide solver pool: plain solves, the width
-// search and portfolio lanes all draw arena-backed solvers from it,
-// and its sat.reset.* / sat.arena.* gauges land in reg.
+// session owns the process-wide solver pool: plain solves and
+// portfolio lanes draw arena-backed solvers from it, and its
+// sat.reset.* / sat.arena.* gauges land in reg.
 var session = fpgasat.NewSession(reg)
 
 func main() {
@@ -411,41 +410,31 @@ func dumpMetrics(trace bool, metricsOut string) error {
 	return nil
 }
 
-// findMinimum performs the paper's optimality flow: descend from the
-// DSATUR upper bound until the first unroutable width. It runs the
-// incremental search on one pooled session solver — the graph is
-// encoded once at the upper bound and each width is a single
-// assumption probe, so learnt clauses carry over between widths.
+// findMinimum performs the paper's optimality flow through FindChi:
+// descend from the DSATUR upper bound to the clique lower bound until
+// the first unroutable width. The graph is encoded once at the upper
+// bound and each width is a single assumption probe, so learnt clauses
+// carry over between widths.
 func findMinimum(g *graph.Graph, s core.Strategy, timeout time.Duration) error {
-	_, ub := coloring.DSATUR(g)
-	fmt.Printf("DSATUR upper bound: %d; clique lower bound: %d\n",
-		ub, len(coloring.GreedyClique(g)))
-	res, err := session.MinWidth(context.Background(), g, fpgasat.SearchOptions{
-		Strategy:     s,
-		Hi:           ub,
-		Solver:       solverOptions(),
-		ProbeTimeout: timeout,
-	})
+	res, err := fpgasat.FindChi(context.Background(), g, []core.Strategy{s}, timeout, reg)
 	if err != nil {
 		return err
 	}
-	for _, p := range res.Probes {
-		fmt.Printf("  probe W=%-3d %-7v %10v %8d conflicts, %d learnt clauses carried in\n",
-			p.Width, p.Status, p.Duration.Round(time.Millisecond), p.Conflicts, p.Learnts)
+	fmt.Printf("DSATUR upper bound: %d; clique lower bound: %d\n", res.UpperBound, res.LowerBound)
+	if res.Search != nil {
+		for _, p := range res.Search.Probes {
+			fmt.Printf("  probe W=%-3d %-7v %10v %8d conflicts, %d learnt clauses carried in\n",
+				p.Width, p.Status, p.Duration.Round(time.Millisecond), p.Conflicts, p.Learnts)
+		}
 	}
 	switch {
-	case res.ProvedOptimal && res.MinWidth > 1:
-		fmt.Printf("minimum channel width: W=%d (W=%d proven unroutable)\n",
-			res.MinWidth, res.MinWidth-1)
-	case res.ProvedOptimal && res.MinWidth == 1:
-		fmt.Printf("minimum channel width: W=%d\n", res.MinWidth)
-	case res.MinWidth > 0:
-		fmt.Printf("undecided at W=%d; best known routable width: %d\n",
-			res.MinWidth-1, res.MinWidth)
+	case !res.Proved:
+		fmt.Printf("undecided at W=%d; best known routable width: %d\n", res.Chi-1, res.Chi)
 		return errUndecided
+	case res.Chi == res.LowerBound:
+		fmt.Printf("minimum channel width: W=%d (the clique lower bound)\n", res.Chi)
 	default:
-		fmt.Printf("undecided at W=%d; no routable width proven\n", ub)
-		return errUndecided
+		fmt.Printf("minimum channel width: W=%d (W=%d proven unroutable)\n", res.Chi, res.Chi-1)
 	}
 	return nil
 }

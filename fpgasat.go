@@ -135,8 +135,6 @@ type (
 	// InputError wraps a parse or validation failure of user-supplied
 	// input with its source file and line.
 	InputError = robust.InputError
-	// RetrySchedule selects how lane retries escalate conflict budgets.
-	RetrySchedule = robust.RetrySchedule
 
 	// Solver is the incremental CDCL solver: load or stream clauses,
 	// then Solve / SolveAssuming / SolveAssumingContext repeatedly;
@@ -160,12 +158,9 @@ type (
 	SearchResult = search.Result
 	// WidthProbe records one width probe within a SearchResult.
 	WidthProbe = search.Probe
-	// WidthResult is one strategy's outcome within a minimum-width
-	// portfolio run.
-	WidthResult = portfolio.WidthResult
 	// ChiResult is the outcome of FindChi: measured chromatic number
 	// plus the heuristic bounds that framed the search.
-	ChiResult = mcnc.ChiResult
+	ChiResult = search.ChiResult
 )
 
 // Solver statuses.
@@ -173,12 +168,6 @@ const (
 	Sat     = sat.Sat
 	Unsat   = sat.Unsat
 	Unknown = sat.Unknown
-)
-
-// Retry schedules for hardened portfolio runs.
-const (
-	GeometricRetry = robust.GeometricRetry
-	LubyRetry      = robust.LubyRetry
 )
 
 // Robustness metric names recorded by hardened portfolio runs (lane
@@ -319,26 +308,13 @@ func SolverClauseSink(s *Solver) ClauseSink { return sat.SolverSink{S: s} }
 // solver literal, e.g. for SolveAssuming.
 func LitFromDimacs(d int) Lit { return sat.LitFromDimacs(d) }
 
-// MinWidth runs the incremental minimum-channel-width search on g: one
-// encode at opts.Hi, one assumption probe per width on a single solver
-// (see SearchOptions).
-func MinWidth(ctx context.Context, g *Graph, opts SearchOptions) (*SearchResult, error) {
-	return search.MinWidth(ctx, g, opts)
-}
-
-// RunMinWidthPortfolio races the incremental width search across
-// strategies; the first member to complete (prove its minimum width
-// optimal) wins and cancels the rest. Telemetry goes to m (may be nil).
-func RunMinWidthPortfolio(ctx context.Context, g *Graph, opts SearchOptions, strategies []Strategy, m *Metrics) (WidthResult, []WidthResult, error) {
-	return portfolio.RunMinWidth(ctx, g, opts, strategies, m)
-}
-
 // FindChi measures the chromatic number (exact minimum channel width)
 // of a conflict graph with the incremental width search framed by the
 // greedy-clique and DSATUR bounds, racing the strategies if more than
-// one is given.
+// one is given. Session.MinWidth runs the search over a range of your
+// choosing instead.
 func FindChi(ctx context.Context, g *Graph, strategies []Strategy, probeTimeout time.Duration, m *Metrics) (ChiResult, error) {
-	return mcnc.FindChi(ctx, g, strategies, probeTimeout, m)
+	return search.FindChi(ctx, g, strategies, probeTimeout, m)
 }
 
 // Generate builds a deterministic random placed netlist.

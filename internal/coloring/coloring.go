@@ -3,7 +3,7 @@
 // (lower bound), and an exact branch-and-bound search. The SAT-based
 // flow in package core is the paper's contribution; these baselines
 // bound the width search that calibrates benchmark instances
-// (mcnc.FindChi), serve as the one-net-at-a-time comparison of the
+// (search.FindChi), serve as the one-net-at-a-time comparison of the
 // experiments, and cross-check SAT answers in tests.
 package coloring
 

@@ -12,6 +12,7 @@ import (
 	"fpgasat/internal/mcnc"
 	"fpgasat/internal/obs"
 	"fpgasat/internal/sat"
+	"fpgasat/internal/search"
 )
 
 // The calibration study's strategies: the fast one measures chi and
@@ -43,7 +44,7 @@ type CalibrateRow struct {
 	Instance  string
 	V, E      int
 	RoutableW int // the registry's value
-	Chi       mcnc.ChiResult
+	Chi       search.ChiResult
 	// UnsatFast and UnsatSlow solve width Chi-1 with the fast and the
 	// slow strategy, SatFast solves width Chi with the fast one.
 	UnsatFast, UnsatSlow, SatFast Timing
@@ -55,7 +56,7 @@ type CalibrateResult struct {
 }
 
 // RunCalibrate measures every instance's chromatic number with the
-// incremental width search (mcnc.FindChi: one encode at the DSATUR
+// incremental width search (search.FindChi: one encode at the DSATUR
 // upper bound, one assumption probe per width), then times fresh
 // single-shot solves on both sides of it, since those measure a
 // strategy's cost on one decision problem. Every instance is measured;
@@ -80,7 +81,7 @@ func RunCalibrate(cfg CalibrateConfig) (*CalibrateResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		chi, err := mcnc.FindChi(context.Background(), g, []core.Strategy{fast}, cfg.Timeout, cfg.Obs)
+		chi, err := search.FindChi(context.Background(), g, []core.Strategy{fast}, cfg.Timeout, cfg.Obs)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: calibrating %s: %w", in.Name, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"fpgasat/internal/core"
 	"fpgasat/internal/mcnc"
 	"fpgasat/internal/sat"
+	"fpgasat/internal/search"
 )
 
 // The seed scan's fixed parameters: how many generator seeds each size
@@ -48,7 +49,7 @@ type SeedRow struct {
 	Class string
 	Seed  int64
 	V, E  int
-	Chi   mcnc.ChiResult
+	Chi   search.ChiResult
 	// Baseline and Fast time width Chi-1, in the order of
 	// seedScanBaseline and seedScanFast; they are zero when chi was
 	// not proved.
@@ -111,7 +112,7 @@ func ScanSeed(in mcnc.Instance, seed int64, timeout time.Duration, pool *sat.Poo
 		return SeedRow{}, err
 	}
 	row := SeedRow{Class: in.Name, Seed: seed, V: g.N(), E: g.M()}
-	row.Chi, err = mcnc.FindChi(context.Background(), g, fast, timeout, nil)
+	row.Chi, err = search.FindChi(context.Background(), g, fast, timeout, nil)
 	if err != nil {
 		return SeedRow{}, fmt.Errorf("experiments: scanning %s seed %d: %w", in.Name, seed, err)
 	}

@@ -25,11 +25,11 @@ import (
 	"fpgasat/internal/share"
 )
 
-// Robustness metric names emitted by Run (and by RunMinWidth for lane
-// panics).
+// Robustness metric names emitted by Run.
 const (
-	// MetricPanics counts portfolio lanes (decision and width-search)
-	// that panicked and were converted into Result.Err.
+	// MetricPanics counts portfolio lanes that panicked and were
+	// converted into Result.Err. search.FindChi counts its crashed
+	// width-search lanes under the same name.
 	MetricPanics = "portfolio.panics"
 	// MetricRetries counts lane re-runs after an exhausted conflict
 	// budget or watchdog timeout.
@@ -76,8 +76,8 @@ type Options struct {
 	// abandons its solver instead of returning it to the pool.
 	Pool *sat.Pool
 	// Solver is the base solver configuration of every lane; its
-	// ConflictBudget (when positive) is the unit the retry schedule
-	// escalates.
+	// ConflictBudget (when positive) is the unit retries escalate along
+	// the Luby sequence (robust.RetryBudget).
 	Solver sat.Options
 	// Verify enables paranoid mode: before a lane's answer can be
 	// crowned, a Sat answer's decoded coloring is re-checked against the
@@ -95,11 +95,8 @@ type Options struct {
 	LaneTimeout time.Duration
 	// MaxRetries re-runs a lane whose attempt ended Unknown with an
 	// exhausted conflict budget or watchdog timeout, up to this many
-	// extra attempts with budgets escalated per RetrySchedule.
+	// extra attempts with escalated budgets.
 	MaxRetries int
-	// RetrySchedule escalates Solver.ConflictBudget across retry
-	// attempts (geometric doubling by default, or Luby).
-	RetrySchedule robust.RetrySchedule
 	// Seed, when non-zero, makes lane behaviour replayable and
 	// diversified: lane i's attempt a runs its solver with a
 	// sat.Options.Seed derived from (Seed, i, a), and the clause
@@ -309,7 +306,7 @@ func runLane(ctx context.Context, g *graph.Graph, k int, s core.Strategy, opts O
 	for attempt := 0; ; attempt++ {
 		solverOpts := opts.Solver
 		if base > 0 {
-			solverOpts.ConflictBudget = opts.RetrySchedule.Budget(base, attempt)
+			solverOpts.ConflictBudget = robust.RetryBudget(base, attempt)
 		}
 		if lane.seed != 0 {
 			// Re-derive per attempt so a retried lane does not retrace the

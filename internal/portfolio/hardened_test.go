@@ -251,14 +251,13 @@ func TestRetryEscalatesBudget(t *testing.T) {
 	}
 }
 
-// TestRetryLubySchedule exercises the Luby escalation variant end to
-// end (the schedule arithmetic itself is tested in package robust).
+// TestRetryLubySchedule exercises the Luby escalation end to end (the
+// schedule arithmetic itself is tested in package robust).
 func TestRetryLubySchedule(t *testing.T) {
 	strategies := Must(PaperPortfolio2())[:1]
 	winner, all, err := Run(context.Background(), graph.Complete(6), 5, strategies, Options{
-		Solver:        sat.Options{ConflictBudget: 1},
-		MaxRetries:    64,
-		RetrySchedule: robust.LubyRetry,
+		Solver:     sat.Options{ConflictBudget: 1},
+		MaxRetries: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

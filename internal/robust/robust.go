@@ -151,41 +151,16 @@ func AsSoundness(err error) (*SoundnessError, bool) {
 	return nil, false
 }
 
-// RetrySchedule selects how a retry policy escalates conflict budgets
-// across attempts.
-type RetrySchedule int
-
-const (
-	// GeometricRetry doubles the budget on every retry: base, 2·base,
-	// 4·base, ... — fast escalation for lanes that were merely
-	// under-budgeted.
-	GeometricRetry RetrySchedule = iota
-	// LubyRetry follows the Luby restart sequence (1, 1, 2, 1, 1, 2,
-	// 4, ...) scaled by the base budget — the theoretically optimal
-	// universal schedule when the required budget is unknown.
-	LubyRetry
-)
-
-// Budget returns the conflict budget of the given attempt (0-based)
-// under the schedule, scaled by base. A non-positive base returns 0
+// RetryBudget returns the conflict budget of the given retry attempt
+// (0-based): base scaled by the Luby sequence (1, 1, 2, 1, 1, 2, 4,
+// ...), the universal schedule that is within a log factor of optimal
+// when the required budget is unknown. A non-positive base returns 0
 // (no budget — the attempt is bounded only by its context).
-func (s RetrySchedule) Budget(base int64, attempt int) int64 {
+func RetryBudget(base int64, attempt int) int64 {
 	if base <= 0 {
 		return 0
 	}
-	switch s {
-	case LubyRetry:
-		return base * luby(attempt+1)
-	default:
-		if attempt >= 62 { // avoid shifting into the sign bit
-			attempt = 62
-		}
-		b := base << uint(attempt)
-		if b <= 0 || b < base { // overflow
-			return int64(1) << 62
-		}
-		return b
-	}
+	return base * luby(attempt+1)
 }
 
 // luby returns the i-th element (1-based) of the Luby sequence

@@ -75,19 +75,10 @@ func TestLubySequence(t *testing.T) {
 }
 
 func TestRetryScheduleBudget(t *testing.T) {
-	if got := GeometricRetry.Budget(100, 0); got != 100 {
-		t.Fatalf("geometric attempt 0: %d", got)
-	}
-	if got := GeometricRetry.Budget(100, 3); got != 800 {
-		t.Fatalf("geometric attempt 3: %d", got)
-	}
-	if got := GeometricRetry.Budget(1<<40, 62); got <= 0 {
-		t.Fatalf("geometric overflow not clamped: %d", got)
-	}
-	if got := LubyRetry.Budget(100, 2); got != 200 {
+	if got := RetryBudget(100, 2); got != 200 {
 		t.Fatalf("luby attempt 2: %d", got)
 	}
-	if got := LubyRetry.Budget(0, 5); got != 0 {
+	if got := RetryBudget(0, 5); got != 0 {
 		t.Fatalf("zero base must stay unbudgeted: %d", got)
 	}
 }

@@ -1,4 +1,4 @@
-package mcnc
+package search_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 
 	"fpgasat/internal/core"
 	"fpgasat/internal/graph"
+	"fpgasat/internal/mcnc"
 	"fpgasat/internal/obs"
 	"fpgasat/internal/search"
 )
@@ -30,7 +31,7 @@ func chiStrategies(t *testing.T, specs ...string) []core.Strategy {
 func TestFindChiCalibrated(t *testing.T) {
 	// 9symml has a genuine gap between the greedy-clique bound (5) and
 	// DSATUR (7), so FindChi must take the SAT probe path to pin chi=6.
-	in, err := ByName("9symml")
+	in, err := mcnc.ByName("9symml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestFindChiCalibrated(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	res, err := FindChi(context.Background(), g,
+	res, err := search.FindChi(context.Background(), g,
 		chiStrategies(t, "ITE-linear-2+muldirect/s1"), time.Minute, reg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func TestFindChiCalibrated(t *testing.T) {
 func TestFindChiRacesStrategies(t *testing.T) {
 	strategies := chiStrategies(t, "ITE-log/s1", "direct/s1")
 	reg := obs.NewRegistry()
-	res, err := FindChi(context.Background(), graph.Cycle(7), strategies, time.Minute, reg)
+	res, err := search.FindChi(context.Background(), graph.Cycle(7), strategies, time.Minute, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestFindChiCancelled(t *testing.T) {
 	cancel()
 	g := graph.Cycle(7)
 	for _, specs := range [][]string{{"ITE-log/s1"}, {"ITE-log/s1", "direct/s1"}} {
-		res, err := FindChi(ctx, g, chiStrategies(t, specs...), time.Minute, nil)
+		res, err := search.FindChi(ctx, g, chiStrategies(t, specs...), time.Minute, nil)
 		if err != nil {
 			t.Fatalf("%d lanes: %v", len(specs), err)
 		}
@@ -107,7 +108,7 @@ func TestFindChiCancelled(t *testing.T) {
 // alu2 (clique 6, DSATUR 8) a probe timeout too short for any probe
 // leaves DSATUR's 8 unproved; with no timeout both prove chi 7.
 func TestFindChiLaneCountParity(t *testing.T) {
-	in, err := ByName("alu2")
+	in, err := mcnc.ByName("alu2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestFindChiLaneCountParity(t *testing.T) {
 		{0, 7, true},
 	} {
 		for _, strategies := range [][]core.Strategy{one, two} {
-			res, err := FindChi(context.Background(), g, strategies, tc.probeTimeout, nil)
+			res, err := search.FindChi(context.Background(), g, strategies, tc.probeTimeout, nil)
 			if err != nil {
 				t.Fatalf("%d lanes, probe timeout %v: %v", len(strategies), tc.probeTimeout, err)
 			}
@@ -142,7 +143,7 @@ func TestFindChiLaneCountParity(t *testing.T) {
 // graph the greedy clique and DSATUR agree, so no probe is needed.
 func TestFindChiBoundsMeet(t *testing.T) {
 	g := graph.Complete(6)
-	res, err := FindChi(context.Background(), g, chiStrategies(t, "log/-"), time.Minute, nil)
+	res, err := search.FindChi(context.Background(), g, chiStrategies(t, "log/-"), time.Minute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestFindChiBoundsMeet(t *testing.T) {
 }
 
 func TestFindChiNoStrategies(t *testing.T) {
-	if _, err := FindChi(context.Background(), graph.Complete(3), nil, 0, nil); err == nil {
+	if _, err := search.FindChi(context.Background(), graph.Complete(3), nil, 0, nil); err == nil {
 		t.Fatal("expected an error without strategies")
 	}
 }

@@ -3,8 +3,11 @@ package search_test
 import (
 	"context"
 	"testing"
+	"time"
 
+	"fpgasat/internal/core"
 	"fpgasat/internal/graph"
+	"fpgasat/internal/obs"
 	"fpgasat/internal/robust"
 	"fpgasat/internal/sat"
 	"fpgasat/internal/search"
@@ -78,5 +81,41 @@ func TestMinWidthReturnsSolverOnHealthyPath(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Reuses == 0 {
 		t.Fatalf("healthy solver not recycled: %+v", st)
+	}
+}
+
+// TestFindChiCountsCrashedLane: a crashed width-search lane is counted
+// in MetricPanics whether it races alone or beside others. Beside a
+// healthy lane the race goes on and the survivor's answer stands;
+// alone, the crash is FindChi's error.
+func TestFindChiCountsCrashedLane(t *testing.T) {
+	robust.SetFailpoint(robust.FPSearchProbe, func(args ...any) {
+		if args[0].(string) == "direct/s1" {
+			panic("injected probe crash")
+		}
+	})
+	t.Cleanup(func() { robust.ClearFailpoint(robust.FPSearchProbe) })
+	g := graph.Cycle(7) // clique 2, chi 3: the search runs
+
+	reg := obs.NewRegistry()
+	res, err := search.FindChi(context.Background(), g,
+		[]core.Strategy{mustStrategy(t, "ITE-log/s1"), mustStrategy(t, "direct/s1")}, time.Minute, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Chi != 3 || !res.Proved || res.Strategy != "ITE-log/s1" {
+		t.Fatalf("chi=%d proved=%v by %q, want 3/true by the surviving lane", res.Chi, res.Proved, res.Strategy)
+	}
+	if n := reg.Snapshot().Counters[search.MetricPanics]; n != 1 {
+		t.Fatalf("%s = %d with two lanes, want 1", search.MetricPanics, n)
+	}
+
+	reg = obs.NewRegistry()
+	_, err = search.FindChi(context.Background(), g, []core.Strategy{mustStrategy(t, "direct/s1")}, time.Minute, reg)
+	if _, ok := robust.AsPanic(err); !ok {
+		t.Fatalf("a lone crashed lane returned err = %v, want the panic", err)
+	}
+	if n := reg.Snapshot().Counters[search.MetricPanics]; n != 1 {
+		t.Fatalf("%s = %d with one lane, want 1", search.MetricPanics, n)
 	}
 }

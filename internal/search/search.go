@@ -21,8 +21,8 @@ import (
 )
 
 // Metric names emitted into Options.Metrics. Options.MetricSuffix is
-// appended (e.g. "search.minwidth.probe.ITE-log/s1") so portfolio
-// members remain distinguishable in one registry.
+// appended (e.g. "search.minwidth.probe.ITE-log/s1") so FindChi's
+// lanes remain distinguishable in one registry.
 const (
 	// MetricEncode times the one-off incremental encode (structural +
 	// conflict + selector guard clauses streamed into the solver).
@@ -59,18 +59,13 @@ type Options struct {
 	Hi int
 	// Lo is the smallest width to probe; it defaults to 1.
 	Lo int
-	// Binary selects binary search over the default descending scan.
-	// Descending matches the paper's W / W-1 workflow and visits every
-	// width from the first routable one downward; binary does O(log W)
-	// probes and suits loose upper bounds.
-	Binary bool
 	// Solver configures the underlying incremental solver.
 	Solver sat.Options
 	// Pool supplies the search's solver and receives it back when the
-	// search ends, so repeated searches (portfolio members, batch
-	// experiments, service requests) reuse clause-arena and watch-list
-	// capacity instead of growing a fresh solver each time. A nil Pool
-	// builds a fresh solver.
+	// search ends, so repeated searches (batch experiments, service
+	// requests) reuse clause-arena and watch-list capacity instead of
+	// growing a fresh solver each time. A nil Pool builds a fresh
+	// solver.
 	Pool *sat.Pool
 	// ProbeTimeout bounds each width probe; 0 means no per-probe bound.
 	// A probe that times out ends the search with the best width found
@@ -211,12 +206,7 @@ func minWidthOn(ctx context.Context, g *graph.Graph, opts Options, lo int, res *
 		return st, nil
 	}
 
-	var err error
-	if opts.Binary {
-		err = binarySearch(probe, lo, opts.Hi, res)
-	} else {
-		err = descendingSearch(probe, lo, opts.Hi, res)
-	}
+	err := descendingSearch(probe, lo, opts.Hi, res)
 	res.Stats = solver.Stats
 	if reg != nil {
 		ast := solver.ArenaStats()
@@ -247,27 +237,5 @@ func descendingSearch(probe func(int) (sat.Status, error), lo, hi int, res *Resu
 		}
 	}
 	res.ProvedOptimal = true // Lo routed; nothing below Lo to disprove
-	return nil
-}
-
-// binarySearch maintains routable-above/unroutable-below bounds and
-// bisects; every probe shares the one incremental solver.
-func binarySearch(probe func(int) (sat.Status, error), lo, hi int, res *Result) error {
-	for lo <= hi {
-		mid := lo + (hi-lo)/2
-		st, err := probe(mid)
-		if err != nil {
-			return err
-		}
-		switch st {
-		case sat.Sat:
-			hi = mid - 1
-		case sat.Unsat:
-			lo = mid + 1
-		default:
-			return nil // cancelled or timed out: bounds not closed
-		}
-	}
-	res.ProvedOptimal = true
 	return nil
 }

@@ -112,35 +112,31 @@ func TestMinWidthAgainstSingleShotAndBrute(t *testing.T) {
 			chi++
 		}
 
-		for _, binary := range []bool{false, true} {
-			res, err := search.MinWidth(context.Background(), g, search.Options{
-				Strategy: strat,
-				Lo:       1,
-				Hi:       hi,
-				Binary:   binary,
-			})
-			if err != nil {
-				t.Fatalf("round %d %s binary=%v: %v", round, strat.Name(), binary, err)
-			}
-			if !res.ProvedOptimal {
-				t.Fatalf("round %d %s binary=%v: search did not complete", round, strat.Name(), binary)
-			}
-			if res.MinWidth != chi {
-				t.Fatalf("round %d %s binary=%v: MinWidth %d, chromatic number %d",
-					round, strat.Name(), binary, res.MinWidth, chi)
-			}
-			if err := core.BuildCSP(g, chi, strat.Symmetry).Verify(res.Colors); err != nil {
-				t.Fatalf("round %d %s binary=%v: returned coloring invalid: %v",
-					round, strat.Name(), binary, err)
-			}
-			// Every probe verdict must match a fresh single-shot solve
-			// at that width.
-			for _, p := range res.Probes {
-				want, _ := singleShot(t, g, p.Width, strat)
-				if p.Status != want {
-					t.Fatalf("round %d %s binary=%v width %d: incremental %v, single-shot %v",
-						round, strat.Name(), binary, p.Width, p.Status, want)
-				}
+		res, err := search.MinWidth(context.Background(), g, search.Options{
+			Strategy: strat,
+			Lo:       1,
+			Hi:       hi,
+		})
+		if err != nil {
+			t.Fatalf("round %d %s: %v", round, strat.Name(), err)
+		}
+		if !res.ProvedOptimal {
+			t.Fatalf("round %d %s: search did not complete", round, strat.Name())
+		}
+		if res.MinWidth != chi {
+			t.Fatalf("round %d %s: MinWidth %d, chromatic number %d",
+				round, strat.Name(), res.MinWidth, chi)
+		}
+		if err := core.BuildCSP(g, chi, strat.Symmetry).Verify(res.Colors); err != nil {
+			t.Fatalf("round %d %s: returned coloring invalid: %v", round, strat.Name(), err)
+		}
+		// Every probe verdict must match a fresh single-shot solve at
+		// that width.
+		for _, p := range res.Probes {
+			want, _ := singleShot(t, g, p.Width, strat)
+			if p.Status != want {
+				t.Fatalf("round %d %s width %d: incremental %v, single-shot %v",
+					round, strat.Name(), p.Width, p.Status, want)
 			}
 		}
 	}
@@ -194,33 +190,6 @@ func TestMinWidthCalibratedInstance(t *testing.T) {
 	}
 	if snap.Timers[search.MetricEncode].Count != 1 {
 		t.Fatal("incremental search must encode exactly once")
-	}
-}
-
-// TestMinWidthBinaryProbesFewer checks that binary mode does O(log W)
-// probes where descending does O(W).
-func TestMinWidthBinaryProbesFewer(t *testing.T) {
-	g := graph.Complete(5) // chromatic number 5
-	run := func(binary bool) *search.Result {
-		res, err := search.MinWidth(context.Background(), g, search.Options{
-			Strategy: mustStrategy(t, "direct/s1"),
-			Lo:       1,
-			Hi:       32,
-			Binary:   binary,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MinWidth != 5 || !res.ProvedOptimal {
-			t.Fatalf("binary=%v: MinWidth=%d ProvedOptimal=%v, want 5/true",
-				binary, res.MinWidth, res.ProvedOptimal)
-		}
-		return res
-	}
-	desc := run(false)
-	bin := run(true)
-	if len(bin.Probes) >= len(desc.Probes) {
-		t.Fatalf("binary took %d probes, descending %d", len(bin.Probes), len(desc.Probes))
 	}
 }
 

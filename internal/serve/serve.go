@@ -840,9 +840,6 @@ func (s *Server) resolveRun(req *SolveRequest) ([]core.Strategy, portfolio.Optio
 		LaneTimeout: time.Duration(req.LaneTimeoutMS) * time.Millisecond,
 		Solver:      sat.Options{ConflictBudget: req.ConflictBudget},
 	}
-	if req.MaxRetries > 0 {
-		popts.RetrySchedule = robust.LubyRetry
-	}
 	if req.Share {
 		popts.Share = &share.Options{}
 	}

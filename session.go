@@ -149,14 +149,3 @@ func (s *Session) PortfolioHardened(ctx context.Context, g *Graph, k int, strate
 	s.recordPoolMetrics()
 	return win, all, err
 }
-
-// MinWidthPortfolio races the incremental width search across
-// strategies, sharing the session pool between members.
-func (s *Session) MinWidthPortfolio(ctx context.Context, g *Graph, opts SearchOptions, strategies []Strategy) (WidthResult, []WidthResult, error) {
-	if opts.Pool == nil {
-		opts.Pool = &s.pool
-	}
-	win, all, err := portfolio.RunMinWidth(ctx, g, opts, strategies, s.metrics)
-	s.recordPoolMetrics()
-	return win, all, err
-}
