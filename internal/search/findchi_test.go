@@ -61,11 +61,9 @@ func TestFindChiCalibrated(t *testing.T) {
 
 // TestFindChiRacesStrategies exercises the race (two strategies) on a
 // small graph whose bounds do not meet: C7 has clique 2 and chi 3.
-// Each lane's telemetry lands under its own strategy suffix.
 func TestFindChiRacesStrategies(t *testing.T) {
 	strategies := chiStrategies(t, "ITE-log/s1", "direct/s1")
-	reg := obs.NewRegistry()
-	res, err := search.FindChi(context.Background(), graph.Cycle(7), strategies, time.Minute, reg)
+	res, err := search.FindChi(context.Background(), graph.Cycle(7), strategies, time.Minute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +73,35 @@ func TestFindChiRacesStrategies(t *testing.T) {
 	if res.Strategy == "" || res.Probes == 0 {
 		t.Fatalf("winner %q with %d probes: the race did not run", res.Strategy, res.Probes)
 	}
-	snap := reg.Snapshot()
-	for _, s := range strategies {
-		if snap.Timers[search.MetricEncode+"."+s.Name()].Count != 1 {
-			t.Errorf("lane %s has no encode timer under its own suffix", s.Name())
+	if res.Search == nil || !res.Search.ProvedOptimal || res.Search.MinWidth != res.Chi {
+		t.Fatalf("ChiResult.Search %+v is not the winning search", res.Search)
+	}
+}
+
+// TestFindChiLaneTelemetry: with one lane or two, each lane records its
+// search telemetry under its own strategy suffix, and nothing lands
+// under the bare metric names.
+func TestFindChiLaneTelemetry(t *testing.T) {
+	g := graph.Cycle(7)
+	for _, specs := range [][]string{{"ITE-log/s1"}, {"ITE-log/s1", "direct/s1"}} {
+		strategies := chiStrategies(t, specs...)
+		reg := obs.NewRegistry()
+		res, err := search.FindChi(context.Background(), g, strategies, time.Minute, reg)
+		if err != nil {
+			t.Fatalf("%d lanes: %v", len(specs), err)
+		}
+		snap := reg.Snapshot()
+		for _, s := range strategies {
+			if snap.Timers[search.MetricEncode+"."+s.Name()].Count != 1 {
+				t.Errorf("%d lanes: lane %s has no encode timer under its own suffix", len(specs), s.Name())
+			}
+		}
+		if got := snap.Counters[search.MetricProbes+"."+res.Strategy]; got != int64(res.Probes) {
+			t.Errorf("%d lanes: winner %s counted %d probes under its suffix, want %d",
+				len(specs), res.Strategy, got, res.Probes)
+		}
+		if _, ok := snap.Timers[search.MetricEncode]; ok {
+			t.Errorf("%d lanes: a lane recorded under the unsuffixed %s", len(specs), search.MetricEncode)
 		}
 	}
 }
@@ -155,8 +178,14 @@ func TestFindChiBoundsMeet(t *testing.T) {
 	}
 }
 
+// TestFindChiNoStrategies: an empty strategy list is an error, whether
+// or not the bounds meet (K3 meets, C7 needs the race).
 func TestFindChiNoStrategies(t *testing.T) {
-	if _, err := search.FindChi(context.Background(), graph.Complete(3), nil, 0, nil); err == nil {
-		t.Fatal("expected an error without strategies")
+	for _, g := range []*graph.Graph{graph.Complete(3), graph.Cycle(7)} {
+		for _, strategies := range [][]core.Strategy{nil, {}} {
+			if _, err := search.FindChi(context.Background(), g, strategies, 0, nil); err == nil {
+				t.Fatalf("%d vertices: expected an error without strategies", g.N())
+			}
+		}
 	}
 }
