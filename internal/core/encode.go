@@ -154,19 +154,21 @@ func (e *Streamed) Cube(v, c int) Cube { return e.vertex(v).cube(c) }
 // encoded once, into a template, and every vertex is emitted as its
 // template shifted onto its own variable block, so the encode keeps no
 // per-vertex objects. The variable count is known before the first
-// clause: a sink with a DeclareVars method receives it first. Clauses
-// are assembled in a scratch buffer reused across calls — sinks copy
-// what they keep, per the ClauseSink contract. This is the hot path of
-// the pipeline — with a sat.SolverSink the clauses go straight into the
-// solver with no intermediate garbage.
+// clause: a sink with a DeclareVars method receives it first, and a
+// sink with a Census method then a replay of the clauses (see
+// ClauseSink). Clauses are assembled in a scratch buffer reused across
+// calls — sinks copy what they keep, per the ClauseSink contract. This
+// is the hot path of the pipeline — with a sat.SolverSink the clauses
+// go straight into the solver with no intermediate garbage.
 func EncodeInto(csp *CSP, enc Encoding, sink ClauseSink) *Streamed {
-	return encodeInto(csp, enc, 0, sink)
+	st := newStreamed(csp, enc)
+	stream(sink, st.NumVars, st)
+	return st
 }
 
-// encodeInto is EncodeInto for a formula that numbers extra variables
-// after the encoding's own (an Incremental's selectors); the declared
-// count includes them.
-func encodeInto(csp *CSP, enc Encoding, extra int, sink ClauseSink) *Streamed {
+// newStreamed lays the encoding out: one template per domain size and
+// each vertex's variable block.
+func newStreamed(csp *CSP, enc Encoding) *Streamed {
 	st := &Streamed{Encoding: enc, CSP: csp, base: make([]int, csp.G.N())}
 	for v := range st.base {
 		d := csp.Domain[v]
@@ -179,9 +181,13 @@ func encodeInto(csp *CSP, enc Encoding, extra int, sink ClauseSink) *Streamed {
 		st.base[v] = st.NumVars
 		st.NumVars += st.templates[d].vars
 	}
-	if vd, ok := sink.(varDeclarer); ok {
-		vd.DeclareVars(st.NumVars + extra)
-	}
+	return st
+}
+
+// emit streams the encoding's clauses into sink, structural ones first,
+// and counts both kinds. Every call emits the same clauses.
+func (st *Streamed) emit(sink ClauseSink) {
+	csp := st.CSP
 	a := newAlloc()
 	cs := &countingSink{sink: sink}
 	for v := range st.base {
@@ -210,7 +216,6 @@ func encodeInto(csp *CSP, enc Encoding, extra int, sink ClauseSink) *Streamed {
 		})
 	}
 	st.ConflictClauses = cs.n - st.StructuralClauses
-	return st
 }
 
 // Encode translates the CSP to CNF under the given encoding into a

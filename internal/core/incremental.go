@@ -52,17 +52,21 @@ func EncodeIncremental(csp *CSP, enc Encoding, lo int, sink ClauseSink) *Increme
 	if lo > csp.K {
 		lo = csp.K
 	}
-	n := csp.K - lo
-	st := encodeInto(csp, enc, n, sink)
-	inc := &Incremental{Streamed: st, Lo: lo}
-	if n == 0 {
-		return inc
-	}
-	inc.selectors = make([]int, n)
+	st := newStreamed(csp, enc)
+	inc := &Incremental{Streamed: st, Lo: lo, selectors: make([]int, csp.K-lo)}
 	for i := range inc.selectors {
 		st.NumVars++
 		inc.selectors[i] = st.NumVars
 	}
+	stream(sink, st.NumVars, inc)
+	return inc
+}
+
+// emit streams the encoding's clauses into sink, then the selector
+// chain and the guard clauses, and counts every kind.
+func (inc *Incremental) emit(sink ClauseSink) {
+	inc.Streamed.emit(sink)
+	csp, n := inc.CSP, len(inc.selectors)
 	cs := &countingSink{sink: sink}
 	for i := 0; i+1 < n; i++ {
 		cs.AddClause(-inc.selectors[i], inc.selectors[i+1])
@@ -70,25 +74,24 @@ func EncodeIncremental(csp *CSP, enc Encoding, lo int, sink ClauseSink) *Increme
 	// An encoding with native order literals shortens the guard to a
 	// single ¬(color >= w) literal; cube encodings guard by negating the
 	// value-w cube (the staircase chain covers the widths above w).
-	guard, _ := enc.(incrementalGuard)
+	guard, _ := inc.Encoding.(incrementalGuard)
 	var buf []int // scratch; sinks copy what they keep
-	for w := lo; w < csp.K; w++ {
-		sel := inc.selectors[w-lo]
+	for w := inc.Lo; w < csp.K; w++ {
+		sel := inc.selectors[w-inc.Lo]
 		for v := 0; v < csp.G.N(); v++ {
 			if csp.Domain[v] <= w {
 				continue
 			}
 			buf = append(buf[:0], -sel)
 			if guard != nil {
-				buf = guard.guardLits(st.vertex(v), w, buf)
+				buf = guard.guardLits(inc.vertex(v), w, buf)
 			} else {
-				buf = st.vertex(v).appendNegated(w, buf)
+				buf = inc.vertex(v).appendNegated(w, buf)
 			}
 			cs.AddClause(buf...)
 		}
 	}
 	inc.GuardClauses = cs.n
-	return inc
 }
 
 // SelectorVar returns the DIMACS index of sel_w, or 0 when width w

@@ -16,10 +16,16 @@ package core
 // indices are allocated densely from 1 by the encoder). A sink may also
 // implement DeclareVars(n int): the encoder then calls it once, before
 // the first clause, with the formula's variable count, so the sink can
-// size its tables once instead of growing them clause by clause. The two
-// production sinks are *sat.CNF (buffering; copies each clause) and
-// sat.SolverSink (streams straight into an incremental solver, which
-// copies literals into its clause arena); both take the declaration.
+// size its tables once instead of growing them clause by clause. And a
+// sink may implement Census(replay func(count func(lits ...int))): the
+// encoder then calls it once, after DeclareVars and before the first
+// clause, and replay, if the sink calls it, emits every clause of the
+// formula into count in stream order, so the sink can size its clause
+// storage from what is coming. The two production sinks are *sat.CNF
+// (buffering; copies each clause) and sat.SolverSink (streams straight
+// into an incremental solver, which copies literals into its clause
+// arena and implication lists); both take the declaration, and
+// SolverSink takes the census.
 type ClauseSink interface {
 	AddClause(lits ...int)
 }
@@ -29,6 +35,35 @@ type ClauseSink interface {
 type varDeclarer interface {
 	DeclareVars(n int)
 }
+
+// clauseCensus is the optional ClauseSink method that receives a replay
+// of the formula's clauses before the first one.
+type clauseCensus interface {
+	Census(replay func(count func(lits ...int)))
+}
+
+// emitter produces a formula's clauses, the same ones on every call.
+type emitter interface {
+	emit(sink ClauseSink)
+}
+
+// stream delivers a formula of vars variables, whose clauses f emits,
+// to sink: the variable count and the census replay to a sink that
+// takes them, then the clauses.
+func stream(sink ClauseSink, vars int, f emitter) {
+	if vd, ok := sink.(varDeclarer); ok {
+		vd.DeclareVars(vars)
+	}
+	if c, ok := sink.(clauseCensus); ok {
+		c.Census(func(count func(lits ...int)) { f.emit(sinkFunc(count)) })
+	}
+	f.emit(sink)
+}
+
+// sinkFunc is a ClauseSink that calls the function.
+type sinkFunc func(lits ...int)
+
+func (f sinkFunc) AddClause(lits ...int) { f(lits...) }
 
 // clauseCollector is a ClauseSink that materializes the emitted clauses,
 // used by the materializing compatibility wrappers and by tests that
@@ -41,7 +76,7 @@ func (c *clauseCollector) AddClause(lits ...int) {
 }
 
 // countingSink forwards clauses to an underlying sink while counting
-// them — the clause census of the size ablation without a second pass.
+// them, for the clause counts of the size ablation.
 type countingSink struct {
 	sink ClauseSink
 	n    int

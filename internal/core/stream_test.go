@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"fpgasat/internal/graph"
@@ -122,6 +125,70 @@ func TestEncodeIdenticalAcrossConstruction(t *testing.T) {
 		for j := range s1.clauses[i] {
 			if s1.clauses[i][j] != s2.clauses[i][j] {
 				t.Fatalf("clause %d differs: %v vs %v", i, s1.clauses[i], s2.clauses[i])
+			}
+		}
+	}
+}
+
+// censusSink records the order of the optional sink calls, the clauses
+// a Census replay emits and the clauses streamed after it.
+type censusSink struct {
+	recordSink
+	calls  []string
+	replay [][]int
+}
+
+func (s *censusSink) DeclareVars(n int) { s.calls = append(s.calls, "declare") }
+
+func (s *censusSink) Census(replay func(count func(lits ...int))) {
+	s.calls = append(s.calls, "census")
+	if len(s.clauses) != 0 {
+		s.calls = append(s.calls, "census after a clause")
+	}
+	replay(func(lits ...int) { s.replay = append(s.replay, append([]int(nil), lits...)) })
+}
+
+// TestCensusReplaysTheStream: a sink with a Census method gets the
+// variable count, then one replay, then the clauses, and the replay
+// emits exactly the clauses that follow, selector chain and guards of an
+// incremental encode included, so a solver can size its implication
+// lists from it. Covers every paper encoding and order, on plain and
+// weighted graphs, single-shot and incremental.
+func TestCensusReplaysTheStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	type formula struct {
+		name string
+		g    *graph.Graph
+		k    int
+		encs []Encoding
+	}
+	plain := append(PaperEncodings(), NewOrder())
+	formulas := []formula{{"random", graph.Random(rng, 14, 0.4), 5, plain}}
+	var weighted []Encoding
+	for _, name := range BandwidthEncodingNames {
+		weighted = append(weighted, mustByName(t, name))
+	}
+	for name, g := range weightedTestGraphs() {
+		formulas = append(formulas, formula{name, g, 7, weighted})
+	}
+	for _, f := range formulas {
+		for _, enc := range f.encs {
+			csp := NewCSP(f.g, f.k)
+			for _, incremental := range []bool{false, true} {
+				sink := &censusSink{}
+				if incremental {
+					EncodeIncremental(csp, enc, 2, sink)
+				} else {
+					EncodeInto(csp, enc, sink)
+				}
+				name := fmt.Sprintf("%s/%s incremental=%v", f.name, enc.Name(), incremental)
+				if got := strings.Join(sink.calls, ", "); got != "declare, census" {
+					t.Fatalf("%s: sink calls %q, want \"declare, census\"", name, got)
+				}
+				if !reflect.DeepEqual(sink.replay, sink.clauses) {
+					t.Fatalf("%s: replay of %d clauses differs from the %d streamed",
+						name, len(sink.replay), len(sink.clauses))
+				}
 			}
 		}
 	}

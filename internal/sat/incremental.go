@@ -155,3 +155,9 @@ func (ss SolverSink) AddClause(lits ...int) { ss.S.AddDimacsClause(lits...) }
 // per-variable and per-literal tables once rather than one variable at
 // a time.
 func (ss SolverSink) DeclareVars(n int) { ss.S.ensureVars(n) }
+
+// Census takes a replay of the clauses the encoder is about to stream,
+// after DeclareVars: replay calls count once per clause. The solver
+// runs it only when DeclareVars created implication lists, and sizes
+// each of them from its binary-clause count as Load does.
+func (ss SolverSink) Census(replay func(count func(lits ...int))) { ss.S.sizeBins(replay) }

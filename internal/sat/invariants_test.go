@@ -1,18 +1,22 @@
 package sat
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // checkInvariants verifies structural solver invariants at decision
 // level 0: every arena clause has at least three literals and is
 // watched on exactly its first two, watch lists reference live clauses,
 // every binary clause has both of its implication-list entries and no
-// others, reasons name clauses that imply their literal, the trail is
-// consistent with the assignment, and the arena's garbage accounting is
-// sound.
+// others, no two implication lists share storage, reasons name clauses
+// that imply their literal, the trail is consistent with the
+// assignment, and the arena's garbage accounting is sound.
 func (s *Solver) checkInvariants() error {
 	if s.decisionLevel() != 0 {
 		return fmt.Errorf("invariants checked above level 0")
@@ -68,6 +72,25 @@ func (s *Solver) checkInvariants() error {
 		return fmt.Errorf("%d binary entries, want 2 × (%d problem + %d learnt)",
 			entries, s.binClauses, s.binLearnts)
 	}
+	// No two implication lists share backing storage, so an append to
+	// one can never overwrite another's entries.
+	type span struct {
+		lit    int
+		lo, hi uintptr
+	}
+	var spans []span
+	for l, qs := range s.bins {
+		if cap(qs) > 0 {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(qs)))
+			spans = append(spans, span{l, lo, lo + uintptr(cap(qs))*unsafe.Sizeof(qs[0])})
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if prev := spans[i-1]; spans[i].lo < prev.hi {
+			return fmt.Errorf("implication lists of literals %d and %d share backing storage", prev.lit, spans[i].lit)
+		}
+	}
 	// Arena accounting: live words plus recorded garbage must exactly
 	// tile the arena.
 	if liveWords+s.ca.wasted != len(s.ca.data) {
@@ -105,6 +128,24 @@ func (s *Solver) checkInvariants() error {
 		return fmt.Errorf("qhead %d beyond trail %d", s.qhead, len(s.trail))
 	}
 	return nil
+}
+
+// TestInvariantsRejectSharedLists: checkInvariants must catch two
+// implication lists carved over the same storage, the defect that would
+// let an append to one overwrite the other.
+func TestInvariantsRejectSharedLists(t *testing.T) {
+	s := New(Options{})
+	s.Load(&CNF{NumVars: 3, Clauses: [][]int{{1, 2}, {-1, 3}}})
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := PosLit(0), NegLit(0)
+	shared := make([]Lit, 2)
+	s.bins[a] = append(shared[:0:2], s.bins[a]...)
+	s.bins[b] = append(shared[1:1:2], s.bins[b]...)
+	if err := s.checkInvariants(); err == nil || !strings.Contains(err.Error(), "share") {
+		t.Fatalf("two implication lists over one block: invariant check says %v", err)
+	}
 }
 
 func TestInvariantsAfterSolve(t *testing.T) {

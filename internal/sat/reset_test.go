@@ -131,6 +131,136 @@ func TestLoadAllocsIndependentOfVars(t *testing.T) {
 	}
 }
 
+// TestLoadAllocsIndependentOfClauses: a fresh solver carves every
+// implication list of a 2-CNF from one block that a census sizes, so
+// loading 100,000 binary clauses takes as many allocations as loading
+// 1,000, through Load and through the encoder's SolverSink protocol
+// (DeclareVars, Census, then the clauses) alike.
+func TestLoadAllocsIndependentOfClauses(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	small, large := randomCNF(rng, 2000, 1000, 2), randomCNF(rng, 2000, 100000, 2)
+	paths := []struct {
+		name string
+		load func(*CNF)
+	}{
+		{"Load", func(f *CNF) { New(Options{}).Load(f) }},
+		{"SolverSink", func(f *CNF) {
+			ss := SolverSink{S: New(Options{})}
+			ss.DeclareVars(f.NumVars)
+			ss.Census(func(count func(lits ...int)) {
+				for _, cl := range f.Clauses {
+					count(cl...)
+				}
+			})
+			for _, cl := range f.Clauses {
+				ss.AddClause(cl...)
+			}
+		}},
+	}
+	for _, p := range paths {
+		a := testing.AllocsPerRun(2, func() { p.load(small) })
+		b := testing.AllocsPerRun(2, func() { p.load(large) })
+		t.Logf("%s of a 2-CNF over 2,000 variables: %.0f allocations at 1,000 clauses, %.0f at 100,000", p.name, a, b)
+		if a != b {
+			t.Errorf("%s makes %.0f allocations at 100,000 binary clauses against %.0f at 1,000", p.name, b, a)
+		}
+	}
+}
+
+// TestResetReusesImplicationLists reuses one solver across mixed
+// 2-/3-CNF formulas that alternately grow it past the implication lists
+// it kept and shrink it back, so loads reuse kept lists and carve new
+// ones from a census. Every answer must match a fresh solver's after the
+// same search, every new list must be carved at exactly its length, and
+// the lists must stay sound.
+func TestResetReusesImplicationLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(5151))
+	s := New(Options{})
+	var verdicts [3]int
+	for trial := 0; trial < 40; trial++ {
+		vars := 8 + rng.Intn(8)
+		if trial%2 == 1 {
+			vars = 20 + 3*trial // past every list kept so far
+		}
+		cnf := randomCNF(rng, vars, vars*(3+rng.Intn(4))/2, mixed23)
+		kept := cap(s.bins)
+		s.Reset(Options{})
+		fresh := New(Options{})
+		fresh.Load(cnf)
+		if !s.Load(cnf) {
+			t.Fatalf("trial %d: a formula without units refuted while loading", trial)
+		}
+		for l := kept; l < len(s.bins); l++ {
+			if qs := s.bins[l]; len(qs) != cap(qs) {
+				t.Fatalf("trial %d: new list of literal %d holds %d entries in a capacity of %d", trial, l, len(qs), cap(qs))
+			}
+		}
+		got, want := s.Solve(), fresh.Solve()
+		verdicts[got]++
+		if got != want || s.Stats != fresh.Stats {
+			t.Fatalf("trial %d: reused solver says %v after %d conflicts, fresh solver %v after %d",
+				trial, got, s.Stats.Conflicts, want, fresh.Stats.Conflicts)
+		}
+		if err := s.checkInvariants(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+	if verdicts[Sat] == 0 || verdicts[Unsat] == 0 {
+		t.Fatalf("verdicts %v: want both Sat and Unsat answers", verdicts)
+	}
+}
+
+// TestCarvedListsOverflow: learnt binaries and binary clauses added
+// between SolveAssuming calls append past the slots a census carved,
+// which moves those lists to storage of their own. The solver must
+// search exactly as one whose lists grew by append alone.
+func TestCarvedListsOverflow(t *testing.T) {
+	rng := rand.New(rand.NewSource(6262))
+	overflowed := 0
+	for trial := 0; trial < 20; trial++ {
+		cnf := randomCNF(rng, 40, 100+rng.Intn(40), mixed23)
+		carved := New(Options{})
+		carved.Load(cnf)
+		_, slots := ImplicationLists(carved)
+		grown := New(Options{})
+		for grown.NumVars() < cnf.NumVars {
+			grown.NewVar()
+		}
+		for _, cl := range cnf.Clauses {
+			grown.AddDimacsClause(cl...)
+		}
+		lit := func() Lit { return MkLit(Var(rng.Intn(cnf.NumVars)), rng.Intn(2) == 0) }
+		for round := 0; round < 4; round++ {
+			assumps := []Lit{lit(), lit()}
+			got, want := carved.SolveAssuming(assumps...), grown.SolveAssuming(assumps...)
+			if got != want || carved.Stats != grown.Stats {
+				t.Fatalf("trial %d round %d: carved lists give %v after %d conflicts, appended lists %v after %d",
+					trial, round, got, carved.Stats.Conflicts, want, grown.Stats.Conflicts)
+			}
+			for i := 0; i < 3; i++ {
+				a, b := lit(), lit()
+				if a.Var() != b.Var() {
+					carved.AddClause(a, b)
+					grown.AddClause(a, b)
+				}
+			}
+		}
+		for l, qs := range carved.bins {
+			if len(qs) > slots[l] && slots[l] > 0 {
+				overflowed++
+			}
+		}
+		for _, s := range []*Solver{carved, grown} {
+			if err := s.checkInvariants(); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+	}
+	if overflowed == 0 {
+		t.Fatal("no carved list overflowed; the test is vacuous")
+	}
+}
+
 // TestGarbageCollection forces reduceDB deletions until the arena
 // compacts, and checks both the accounting and the verdict.
 func TestGarbageCollection(t *testing.T) {

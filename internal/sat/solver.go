@@ -141,10 +141,13 @@ type Solver struct {
 	// binLearnts count the problem and learnt binary clauses (learnt ones
 	// are never deleted); each has one entry in each of its literals'
 	// lists. binConfl is the list entry found false in the last binary
-	// conflict, the clause's second literal beside the tagged ref.
+	// conflict, the clause's second literal beside the tagged ref. The
+	// lists from binsSized on were created since the last census or Reset
+	// and wait for sizeBins to give them storage.
 	bins                   [][]Lit
 	binClauses, binLearnts int
 	binConfl               Lit
+	binsSized              int
 
 	assigns  []int8 // indexed by Var
 	polarity []bool // saved phase, indexed by Var
@@ -250,6 +253,7 @@ func (s *Solver) reset(opts Options) {
 	// reslicing the outer ones.
 	s.watches = s.watches[:0]
 	s.bins = s.bins[:0]
+	s.binsSized = cap(s.bins)
 	s.binClauses, s.binLearnts = 0, 0
 	s.assigns = s.assigns[:0]
 	s.polarity = s.polarity[:0]
@@ -442,6 +446,53 @@ func (s *Solver) AddDimacsClause(dimacs ...int) bool {
 	}
 	s.litBuf = lits
 	return s.AddClause(lits...)
+}
+
+// sizeBins gives each implication list created since the last census
+// or Reset, if it still has no storage, a slot carved at exactly its
+// length from one fresh block: the count-then-fill construction of
+// graph.FromEdgeStream. stream replays through count, in DIMACS form,
+// the clauses about to be added; each clause of two literals on
+// distinct variables is one entry in each literal's list. Without such
+// lists it takes no census. The load's appends then fill the slots in
+// order. An append past a slot moves that list to storage of its own,
+// as before: it comes from a learnt or later clause, or from a clause
+// that loading shortened to two literals.
+func (s *Solver) sizeBins(stream func(count func(lits ...int))) {
+	from := s.binsSized
+	if from >= len(s.bins) {
+		return
+	}
+	s.binsSized = len(s.bins)
+	fresh := s.bins[from:]
+	counts := make([]uint32, len(fresh))
+	stream(func(lits ...int) {
+		if len(lits) != 2 {
+			return
+		}
+		a, b := LitFromDimacs(lits[0]), LitFromDimacs(lits[1])
+		if a.Var() == b.Var() {
+			return // a unit or a tautology
+		}
+		for _, l := range [2]Lit{a, b} {
+			if i := int(l) - from; i >= 0 && i < len(counts) {
+				counts[i]++
+			}
+		}
+	})
+	total := 0
+	for i, n := range counts {
+		if cap(fresh[i]) == 0 {
+			total += int(n)
+		}
+	}
+	block := make([]Lit, total)
+	for i, n := range counts {
+		if n > 0 && cap(fresh[i]) == 0 {
+			fresh[i] = block[:0:n]
+			block = block[n:]
+		}
+	}
 }
 
 // addBinary stores the binary clause (a ∨ b) as one entry in each of
