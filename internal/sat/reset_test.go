@@ -135,7 +135,8 @@ func TestLoadAllocsIndependentOfVars(t *testing.T) {
 // implication list of a 2-CNF from one block that a census sizes, so
 // loading 100,000 binary clauses takes as many allocations as loading
 // 1,000, through Load and through the encoder's SolverSink protocol
-// (DeclareVars, Census, then the clauses) alike.
+// (DeclareVars, Census, then the clauses) alike. Reloading into a Reset
+// solver creates no list, so it takes no census and allocates nothing.
 func TestLoadAllocsIndependentOfClauses(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	small, large := randomCNF(rng, 2000, 1000, 2), randomCNF(rng, 2000, 100000, 2)
@@ -164,6 +165,11 @@ func TestLoadAllocsIndependentOfClauses(t *testing.T) {
 		if a != b {
 			t.Errorf("%s makes %.0f allocations at 100,000 binary clauses against %.0f at 1,000", p.name, b, a)
 		}
+	}
+	s := New(Options{})
+	s.Load(large)
+	if allocs := testing.AllocsPerRun(2, func() { s.Reset(Options{}); s.Load(large) }); allocs != 0 {
+		t.Errorf("reloading a Reset solver: %.0f allocations, want 0", allocs)
 	}
 }
 

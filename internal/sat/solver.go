@@ -452,12 +452,13 @@ func (s *Solver) AddDimacsClause(dimacs ...int) bool {
 // or Reset, if it still has no storage, a slot carved at exactly its
 // length from one fresh block: the count-then-fill construction of
 // graph.FromEdgeStream. stream replays through count, in DIMACS form,
-// the clauses about to be added; each clause of two literals on
-// distinct variables is one entry in each literal's list. Without such
-// lists it takes no census. The load's appends then fill the slots in
-// order. An append past a slot moves that list to storage of its own,
-// as before: it comes from a learnt or later clause, or from a clause
-// that loading shortened to two literals.
+// the clauses about to be added, and each clause of two literals is one
+// entry in each literal's list. Without such lists it takes no census.
+// The load's appends then fill the slots in order. A clause that loading
+// drops or shortens to one literal leaves its slots short of capacity.
+// An append past a slot moves that list to storage of its own, as
+// before: it comes from a learnt or later clause, or from a longer
+// clause that loading shortened to two literals.
 func (s *Solver) sizeBins(stream func(count func(lits ...int))) {
 	from := s.binsSized
 	if from >= len(s.bins) {
@@ -470,12 +471,8 @@ func (s *Solver) sizeBins(stream func(count func(lits ...int))) {
 		if len(lits) != 2 {
 			return
 		}
-		a, b := LitFromDimacs(lits[0]), LitFromDimacs(lits[1])
-		if a.Var() == b.Var() {
-			return // a unit or a tautology
-		}
-		for _, l := range [2]Lit{a, b} {
-			if i := int(l) - from; i >= 0 && i < len(counts) {
+		for _, d := range lits {
+			if i := int(LitFromDimacs(d)) - from; i >= 0 && i < len(counts) {
 				counts[i]++
 			}
 		}
