@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -264,6 +265,156 @@ func TestCarvedListsOverflow(t *testing.T) {
 	}
 	if overflowed == 0 {
 		t.Fatal("no carved list overflowed; the test is vacuous")
+	}
+}
+
+// implications returns a copy of every implication list, indexed by
+// literal.
+func implications(s *Solver) [][]Lit {
+	lists := make([][]Lit, len(s.bins))
+	for l := range s.bins {
+		lists[l] = slices.Clone(s.bins[l])
+	}
+	return lists
+}
+
+// TestCensusKeepsExistingLists: a load that creates lists takes a census
+// even when the solver already holds clauses, and the census must leave
+// every entry of those clauses where the search reads it. A formula is
+// loaded, then a second one over more variables follows without Reset,
+// through Load and through the encoder's SolverSink protocol. The first
+// formula's entries must still open their lists, in order, and the solver
+// must search exactly as one fed both formulas through AddClause.
+func TestCensusKeepsExistingLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(7373))
+	paths := []struct {
+		name string
+		load func(*Solver, *CNF)
+	}{
+		{"Load", func(s *Solver, f *CNF) { s.Load(f) }},
+		{"SolverSink", func(s *Solver, f *CNF) {
+			ss := SolverSink{S: s}
+			ss.DeclareVars(f.NumVars)
+			ss.Census(func(count func(lits ...int)) {
+				for _, cl := range f.Clauses {
+					count(cl...)
+				}
+			})
+			for _, cl := range f.Clauses {
+				ss.AddClause(cl...)
+			}
+		}},
+	}
+	kept := 0
+	for trial := 0; trial < 20; trial++ {
+		first := randomCNF(rng, 30, 50+rng.Intn(20), mixed23)
+		second := randomCNF(rng, 60+rng.Intn(20), 100+rng.Intn(40), mixed23)
+		for _, p := range paths {
+			s := New(Options{})
+			s.Load(first)
+			before := implications(s)
+			p.load(s, second)
+			appended := New(Options{})
+			for _, f := range []*CNF{first, second} {
+				for appended.NumVars() < f.NumVars {
+					appended.NewVar()
+				}
+				for _, cl := range f.Clauses {
+					appended.AddDimacsClause(cl...)
+				}
+			}
+			after := implications(s)
+			for l, qs := range before {
+				if len(after[l]) < len(qs) || !slices.Equal(after[l][:len(qs)], qs) {
+					t.Fatalf("trial %d %s: literal %d's list %v became %v", trial, p.name, l, qs, after[l])
+				}
+				kept += len(qs)
+			}
+			got, want := s.Solve(), appended.Solve()
+			if got != want || s.Stats != appended.Stats {
+				t.Fatalf("trial %d %s: the solver says %v after %d conflicts, one fed by AddClause %v after %d",
+					trial, p.name, got, s.Stats.Conflicts, want, appended.Stats.Conflicts)
+			}
+			if err := s.checkInvariants(); err != nil {
+				t.Fatalf("trial %d %s: %v", trial, p.name, err)
+			}
+		}
+	}
+	if kept == 0 {
+		t.Fatal("the first formulas held no binary clause; the test is vacuous")
+	}
+}
+
+// TestOverflowKeepsCensusSlab: binary clauses added between solves move
+// the lists they overflow, and only those lists. A 2-CNF of 100,000
+// clauses loads into carved slots; ten more binary clauses, each added
+// between SolveAssuming calls, may grow the retained list footprint by
+// the moved lists, under 1%, never by a second copy of every slot.
+func TestOverflowKeepsCensusSlab(t *testing.T) {
+	const vars = 20000
+	rng := rand.New(rand.NewSource(8484))
+	// Negative pairs, like the conflict clauses of a coloring: the
+	// all-false assignment satisfies them, so no solve fixes a variable
+	// and every added clause is stored.
+	pair := func() (int, int) {
+		a := 1 + rng.Intn(vars)
+		b := 1 + rng.Intn(vars-1)
+		if b >= a {
+			b++
+		}
+		return -a, -b
+	}
+	f := &CNF{NumVars: vars}
+	for len(f.Clauses) < 100000 {
+		f.AddClause(pair())
+	}
+	s := New(Options{})
+	s.Load(f)
+	_, slots := ImplicationLists(s)
+	loaded := s.ArenaStats().WatchCapWords
+	for i := 0; i < 10; i++ {
+		if st := s.SolveAssuming(); st != Sat {
+			t.Fatalf("round %d: %v, want Sat", i, st)
+		}
+		a, b := pair()
+		s.AddDimacsClause(a, b)
+	}
+	if st := s.SolveAssuming(); st != Sat {
+		t.Fatalf("final solve: %v, want Sat", st)
+	}
+	moved := 0
+	lens, _ := ImplicationLists(s)
+	for l, n := range lens {
+		if n > slots[l] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no list outgrew its slot; the test is vacuous")
+	}
+	grown := s.ArenaStats().WatchCapWords - loaded
+	t.Logf("%d lists moved; list footprint %d -> %d words", moved, loaded, loaded+grown)
+	if grown*100 >= loaded {
+		t.Errorf("ten binary clauses grew the list footprint by %d of %d words, 1%% or more", grown, loaded)
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArenaStatsCountsRetainedLists: a Reset solver keeps the lists of
+// its largest problem whatever the size of the next one, so ArenaStats
+// must count every list it retains, or Pool.MaxRetainedWords would not
+// cap them.
+func TestArenaStatsCountsRetainedLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(9595))
+	s := New(Options{})
+	s.Load(randomCNF(rng, 20000, 80000, mixed23))
+	big := s.ArenaStats().WatchCapWords
+	s.Reset(Options{})
+	s.Load(randomCNF(rng, 100, 300, mixed23))
+	if got := s.ArenaStats().WatchCapWords; got < big {
+		t.Errorf("after a load over 20,000 variables and a Reset, a load over 100 counts %d words of lists, want at least the %d retained", got, big)
 	}
 }
 
