@@ -21,8 +21,8 @@ import "math"
 // reason references through forwarding words.
 //
 // Only clauses of three or more literals live here. A binary clause
-// (a ∨ b) is two implication-list entries, b in Solver.bins[a] and a in
-// Solver.bins[b], and a reason or conflict on it is a tagged ClauseRef:
+// (a ∨ b) is two implication-list entries, b in a's list and a in b's
+// (see implication.go), and a reason or conflict on it is a tagged ClauseRef:
 // the top bit set, the clause's other literal in the low 31 bits. Arena
 // offsets therefore stay below 2^31 (alloc panics past that), and
 // propagation, conflict analysis and compaction never read the arena
@@ -211,9 +211,10 @@ type ArenaStats struct {
 	Words, CapWords, WastedWords int
 	// WatchCapWords is the total backing capacity of the per-literal
 	// watch and binary implication lists in 4-byte words: a watch entry
-	// is two words, a binary entry one. Together with CapWords it
-	// approximates the memory a pooled solver retains for its next use —
-	// the quantity Pool.MaxRetainedWords caps.
+	// is two words, a binary entry one. It counts every list the solver
+	// retains, those a Reset kept beyond the current variables included.
+	// Together with CapWords it approximates the memory a pooled solver
+	// retains for its next use — the quantity Pool.MaxRetainedWords caps.
 	WatchCapWords int
 	// Clauses and Learnts count the live problem and learnt clauses,
 	// binary ones included (NumClauses and NumLearnts).
@@ -225,9 +226,9 @@ type ArenaStats struct {
 
 // ArenaStats returns the current clause-arena statistics.
 func (s *Solver) ArenaStats() ArenaStats {
-	watchCap := 0
-	for i := range s.watches {
-		watchCap += cap(s.watches[i])*2 + cap(s.bins[i])
+	watchCap := s.bins.capWords()
+	for _, ws := range s.watches[:cap(s.watches)] {
+		watchCap += cap(ws) * 2
 	}
 	return ArenaStats{
 		Words:         len(s.ca.data),

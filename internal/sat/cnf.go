@@ -79,11 +79,12 @@ func abs(x int) int {
 
 // Load adds all clauses of the formula to the solver, creating the
 // variables first so that variable numbering matches the DIMACS file
-// (DIMACS variable i is solver Var(i-1)), and sizing the implication
-// lists that creates from a census of the formula's binary clauses.
+// (DIMACS variable i is solver Var(i-1)). When that creates implication
+// lists, every empty list is sized from a census of the formula's binary
+// clauses.
 func (s *Solver) Load(c *CNF) bool {
 	s.ensureVars(c.NumVars)
-	s.sizeBins(func(count func(lits ...int)) {
+	s.bins.census(func(count func(lits ...int)) {
 		for _, cl := range c.Clauses {
 			count(cl...)
 		}

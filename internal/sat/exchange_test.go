@@ -170,7 +170,7 @@ func TestImportedBinaryJoinsImplicationLists(t *testing.T) {
 			if got := s.ArenaStats().Words; got != words {
 				t.Errorf("proof mode %v: the import grew the arena from %d to %d words", proofMode, words, got)
 			}
-			if !slices.Contains(s.bins[a], b) || !slices.Contains(s.bins[b], a) {
+			if !slices.Contains(s.bins.list(a), b) || !slices.Contains(s.bins.list(b), a) {
 				t.Errorf("proof mode %v: imported clause missing from the implication lists", proofMode)
 			}
 		}

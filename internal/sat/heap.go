@@ -6,8 +6,10 @@ package sat
 // container/heap so that updates avoid interface-call overhead on the
 // solver's hottest non-propagation path.
 type varHeap struct {
-	heap    []Var // heap of variables
-	indices []int // variable -> position in heap, -1 if absent
+	heap []Var // heap of variables
+	// indices maps a variable to its position in heap, -1 if absent.
+	// Positions stay below maxVars, so 4 bytes hold them.
+	indices []int32
 	act     *[]float64
 }
 
@@ -46,11 +48,11 @@ func (h *varHeap) percolateUp(i int) {
 			break
 		}
 		h.heap[i] = h.heap[p]
-		h.indices[h.heap[p]] = i
+		h.indices[h.heap[p]] = int32(i)
 		i = p
 	}
 	h.heap[i] = x
-	h.indices[x] = i
+	h.indices[x] = int32(i)
 }
 
 func (h *varHeap) percolateDown(i int) {
@@ -69,11 +71,11 @@ func (h *varHeap) percolateDown(i int) {
 			break
 		}
 		h.heap[i] = h.heap[child]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = child
 	}
 	h.heap[i] = x
-	h.indices[x] = i
+	h.indices[x] = int32(i)
 }
 
 // insert puts v into the heap if it is not already there.
@@ -83,7 +85,7 @@ func (h *varHeap) insert(v Var) {
 		return
 	}
 	h.heap = append(h.heap, v)
-	h.indices[v] = len(h.heap) - 1
+	h.indices[v] = int32(len(h.heap) - 1)
 	h.percolateUp(len(h.heap) - 1)
 }
 
@@ -105,6 +107,6 @@ func (h *varHeap) removeMin() Var {
 // move toward the root; the name follows MiniSat's min-heap wording).
 func (h *varHeap) decrease(v Var) {
 	if h.inHeap(v) {
-		h.percolateUp(h.indices[v])
+		h.percolateUp(int(h.indices[v]))
 	}
 }

@@ -158,6 +158,6 @@ func (ss SolverSink) DeclareVars(n int) { ss.S.ensureVars(n) }
 
 // Census takes a replay of the clauses the encoder is about to stream,
 // after DeclareVars: replay calls count once per clause. The solver
-// runs it only when DeclareVars created implication lists, and sizes
-// each of them from its binary-clause count as Load does.
-func (ss SolverSink) Census(replay func(count func(lits ...int))) { ss.S.sizeBins(replay) }
+// runs it only when DeclareVars created implication lists, and then
+// sizes every empty list from its binary-clause count as Load does.
+func (ss SolverSink) Census(replay func(count func(lits ...int))) { ss.S.bins.census(replay) }

@@ -7,16 +7,16 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 // checkInvariants verifies structural solver invariants at decision
 // level 0: every arena clause has at least three literals and is
 // watched on exactly its first two, watch lists reference live clauses,
 // every binary clause has both of its implication-list entries and no
-// others, no two implication lists share storage, reasons name clauses
-// that imply their literal, the trail is consistent with the
-// assignment, and the arena's garbage accounting is sound.
+// others, the implication-list store is sound (see
+// implLists.checkInvariants), reasons name clauses that imply their
+// literal, the trail is consistent with the assignment, and the arena's
+// garbage accounting is sound.
 func (s *Solver) checkInvariants() error {
 	if s.decisionLevel() != 0 {
 		return fmt.Errorf("invariants checked above level 0")
@@ -53,12 +53,12 @@ func (s *Solver) checkInvariants() error {
 			return fmt.Errorf("clause watched %d times, want 2", watched[ref])
 		}
 	}
-	// Binary clauses: bins[l] holding q is one half of the clause (l ∨ q);
-	// its mirror, l in bins[q], must be there as often.
+	// Binary clauses: l's list holding q is one half of the clause
+	// (l ∨ q); its mirror, l in q's list, must be there as often.
 	type pair struct{ l, q Lit }
 	halves, entries := map[pair]int{}, 0
-	for l, qs := range s.bins {
-		for _, q := range qs {
+	for l := range s.bins.spans {
+		for _, q := range s.bins.list(Lit(l)) {
 			halves[pair{Lit(l), q}]++
 			entries++
 		}
@@ -72,24 +72,8 @@ func (s *Solver) checkInvariants() error {
 		return fmt.Errorf("%d binary entries, want 2 × (%d problem + %d learnt)",
 			entries, s.binClauses, s.binLearnts)
 	}
-	// No two implication lists share backing storage, so an append to
-	// one can never overwrite another's entries.
-	type span struct {
-		lit    int
-		lo, hi uintptr
-	}
-	var spans []span
-	for l, qs := range s.bins {
-		if cap(qs) > 0 {
-			lo := uintptr(unsafe.Pointer(unsafe.SliceData(qs)))
-			spans = append(spans, span{l, lo, lo + uintptr(cap(qs))*unsafe.Sizeof(qs[0])})
-		}
-	}
-	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
-	for i := 1; i < len(spans); i++ {
-		if prev := spans[i-1]; spans[i].lo < prev.hi {
-			return fmt.Errorf("implication lists of literals %d and %d share backing storage", prev.lit, spans[i].lit)
-		}
+	if err := s.bins.checkInvariants(); err != nil {
+		return err
 	}
 	// Arena accounting: live words plus recorded garbage must exactly
 	// tile the arena.
@@ -130,21 +114,72 @@ func (s *Solver) checkInvariants() error {
 	return nil
 }
 
-// TestInvariantsRejectSharedLists: checkInvariants must catch two
-// implication lists carved over the same storage, the defect that would
-// let an append to one overwrite the other.
+// implLists.checkInvariants verifies the implication-list store: every
+// list fits its slot, every slot lies inside its region, no two slots
+// overlap, live slots plus recorded garbage exactly tile both regions
+// (the arena's accounting rule), and moved names each list of the
+// overflow region once.
+func (il *implLists) checkInvariants() error {
+	type slot struct{ lit, lo, hi int }
+	var slots [2][]slot // slab, overflow region
+	regions := [2]int{len(il.slab), len(il.over)}
+	for l, sp := range il.all() {
+		if sp.n > sp.cap {
+			return fmt.Errorf("list of literal %d holds %d entries in a slot of %d", l, sp.n, sp.cap)
+		}
+		r, lo := 0, int(sp.off)
+		if sp.off&inOver != 0 {
+			r, lo = 1, int(sp.off&^inOver)
+		}
+		if hi := lo + int(sp.cap); hi > regions[r] {
+			return fmt.Errorf("slot of literal %d ends at %d, past its region of %d", l, hi, regions[r])
+		} else if sp.cap > 0 {
+			slots[r] = append(slots[r], slot{l, lo, hi})
+		}
+	}
+	live := 0
+	for _, ss := range slots {
+		slices.SortFunc(ss, func(a, b slot) int { return cmp.Compare(a.lo, b.lo) })
+		for i, sl := range ss {
+			if i > 0 && sl.lo < ss[i-1].hi {
+				return fmt.Errorf("slots of literals %d and %d overlap", ss[i-1].lit, sl.lit)
+			}
+			live += sl.hi - sl.lo
+		}
+	}
+	if live+il.garbage != len(il.slab)+len(il.over) {
+		return fmt.Errorf("implication-list accounting: %d live + %d garbage != %d + %d entries",
+			live, il.garbage, len(il.slab), len(il.over))
+	}
+	moved := map[Lit]bool{}
+	for _, l := range il.moved {
+		if moved[l] || il.all()[l].off&inOver == 0 {
+			return fmt.Errorf("moved names literal %d twice or outside the overflow region", l)
+		}
+		moved[l] = true
+	}
+	if len(moved) != len(slots[1]) {
+		return fmt.Errorf("moved names %d lists, the overflow region holds %d", len(moved), len(slots[1]))
+	}
+	return nil
+}
+
+// TestInvariantsRejectSharedLists: checkInvariants must catch a span
+// stretched over its neighbour's slot, the defect that would let an
+// append to one list overwrite the other.
 func TestInvariantsRejectSharedLists(t *testing.T) {
 	s := New(Options{})
 	s.Load(&CNF{NumVars: 3, Clauses: [][]int{{1, 2}, {-1, 3}}})
 	if err := s.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	a, b := PosLit(0), NegLit(0)
-	shared := make([]Lit, 2)
-	s.bins[a] = append(shared[:0:2], s.bins[a]...)
-	s.bins[b] = append(shared[1:1:2], s.bins[b]...)
-	if err := s.checkInvariants(); err == nil || !strings.Contains(err.Error(), "share") {
-		t.Fatalf("two implication lists over one block: invariant check says %v", err)
+	a, b := s.bins.spans[PosLit(0)], s.bins.spans[NegLit(0)]
+	if a.cap == 0 || a.off+a.cap != b.off {
+		t.Fatalf("test premise broken: slots %+v and %+v are not neighbours", a, b)
+	}
+	s.bins.spans[PosLit(0)].cap++
+	if err := s.checkInvariants(); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("a span stretched over its neighbour's slot: invariant check says %v", err)
 	}
 }
 

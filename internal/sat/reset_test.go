@@ -116,9 +116,9 @@ func TestLoadAllocsIndependentOfVars(t *testing.T) {
 	}
 	s := New(Options{})
 	s.Load(&CNF{NumVars: 1000})
-	if cap(s.assigns) != 1000 || cap(s.activity) != 1000 || cap(s.watches) != 2000 || cap(s.bins) != 2000 {
+	if cap(s.assigns) != 1000 || cap(s.activity) != 1000 || cap(s.watches) != 2000 || cap(s.bins.spans) != 2000 {
 		t.Errorf("tables sized %d/%d/%d/%d, want 1000/1000/2000/2000",
-			cap(s.assigns), cap(s.activity), cap(s.watches), cap(s.bins))
+			cap(s.assigns), cap(s.activity), cap(s.watches), cap(s.bins.spans))
 	}
 
 	s = New(Options{})
@@ -190,16 +190,16 @@ func TestResetReusesImplicationLists(t *testing.T) {
 			vars = 20 + 3*trial // past every list kept so far
 		}
 		cnf := randomCNF(rng, vars, vars*(3+rng.Intn(4))/2, mixed23)
-		kept := cap(s.bins)
+		kept := cap(s.bins.spans)
 		s.Reset(Options{})
 		fresh := New(Options{})
 		fresh.Load(cnf)
 		if !s.Load(cnf) {
 			t.Fatalf("trial %d: a formula without units refuted while loading", trial)
 		}
-		for l := kept; l < len(s.bins); l++ {
-			if qs := s.bins[l]; len(qs) != cap(qs) {
-				t.Fatalf("trial %d: new list of literal %d holds %d entries in a capacity of %d", trial, l, len(qs), cap(qs))
+		for l := kept; l < len(s.bins.spans); l++ {
+			if sp := s.bins.spans[l]; sp.n != sp.cap {
+				t.Fatalf("trial %d: new list of literal %d holds %d entries in a capacity of %d", trial, l, sp.n, sp.cap)
 			}
 		}
 		got, want := s.Solve(), fresh.Solve()
@@ -252,8 +252,8 @@ func TestCarvedListsOverflow(t *testing.T) {
 				}
 			}
 		}
-		for l, qs := range carved.bins {
-			if len(qs) > slots[l] && slots[l] > 0 {
+		for l, sp := range carved.bins.spans {
+			if int(sp.n) > slots[l] && slots[l] > 0 {
 				overflowed++
 			}
 		}
@@ -271,9 +271,9 @@ func TestCarvedListsOverflow(t *testing.T) {
 // implications returns a copy of every implication list, indexed by
 // literal.
 func implications(s *Solver) [][]Lit {
-	lists := make([][]Lit, len(s.bins))
-	for l := range s.bins {
-		lists[l] = slices.Clone(s.bins[l])
+	lists := make([][]Lit, len(s.bins.spans))
+	for l := range lists {
+		lists[l] = slices.Clone(s.bins.list(Lit(l)))
 	}
 	return lists
 }

@@ -123,9 +123,10 @@ func Profiles() []Profile {
 // saving, Luby restarts and activity/LBD-driven learnt-clause deletion.
 // Clauses of three or more literals live in a flat arena (see arena.go)
 // addressed by ClauseRef offsets; binary clauses live only in
-// per-literal implication lists. Reset rewinds the solver for a fresh
-// problem while keeping the arena, list and trail capacity, so one
-// Solver can serve many solves without re-paying its allocations.
+// per-literal implication lists (see implication.go). Reset rewinds the
+// solver for a fresh problem while keeping the arena, list and trail
+// capacity, so one Solver can serve many solves without re-paying its
+// allocations.
 //
 // A Solver is not safe for concurrent use, with one exception: Stop may
 // be called from another goroutine to cancel a running Solve.
@@ -136,18 +137,15 @@ type Solver struct {
 	clauses []ClauseRef // problem clauses of 3+ literals
 	learnts []ClauseRef // learnt clauses of 3+ literals
 	watches [][]watch   // indexed by Lit; watches[l] lists arena clauses watching l
-	// bins[l] holds the other literal of every binary clause containing
-	// l, so each entry is implied once l is false. binClauses and
-	// binLearnts count the problem and learnt binary clauses (learnt ones
-	// are never deleted); each has one entry in each of its literals'
-	// lists. binConfl is the list entry found false in the last binary
-	// conflict, the clause's second literal beside the tagged ref. The
-	// lists from binsSized on were created since the last census or Reset
-	// and wait for sizeBins to give them storage.
-	bins                   [][]Lit
+	// bins.list(l) holds the other literal of every binary clause
+	// containing l, so each entry is implied once l is false. binClauses
+	// and binLearnts count the problem and learnt binary clauses (learnt
+	// ones are never deleted); each has one entry in each of its
+	// literals' lists. binConfl is the list entry found false in the last
+	// binary conflict, the clause's second literal beside the tagged ref.
+	bins                   implLists
 	binClauses, binLearnts int
 	binConfl               Lit
-	binsSized              int
 
 	assigns  []int8 // indexed by Var
 	polarity []bool // saved phase, indexed by Var
@@ -252,8 +250,7 @@ func (s *Solver) reset(opts Options) {
 	// NewVar re-exposes the inner lists, with their capacity, by
 	// reslicing the outer ones.
 	s.watches = s.watches[:0]
-	s.bins = s.bins[:0]
-	s.binsSized = cap(s.bins)
+	s.bins.reset()
 	s.binClauses, s.binLearnts = 0, 0
 	s.assigns = s.assigns[:0]
 	s.polarity = s.polarity[:0]
@@ -316,13 +313,13 @@ func (s *Solver) NewVar() Var {
 	s.activity = append(s.activity, act)
 	s.seen = append(s.seen, 0)
 	s.watches = extendLitLists(s.watches)
-	s.bins = extendLitLists(s.bins)
+	s.bins.addVar()
 	s.order.insert(v)
 	return v
 }
 
-// extendLitLists adds the two per-literal lists of a new variable. When
-// a Reset left capacity behind it re-exposes the retained inner lists by
+// extendLitLists adds the two watch lists of a new variable. When a
+// Reset left capacity behind it re-exposes the retained inner lists by
 // reslicing; appending nil would orphan them.
 func extendLitLists[T any](lists [][]T) [][]T {
 	n := len(lists)
@@ -357,7 +354,7 @@ func (s *Solver) ensureVars(n int) {
 	s.seen = grown(s.seen, n)
 	s.trail = grown(s.trail, n)
 	s.watches = grown(s.watches, 2*n)
-	s.bins = grown(s.bins, 2*n)
+	s.bins.spans = grown(s.bins.spans, 2*n)
 	s.order.heap = grown(s.order.heap, n)
 	s.order.indices = grown(s.order.indices, n)
 	for len(s.assigns) < n {
@@ -448,55 +445,11 @@ func (s *Solver) AddDimacsClause(dimacs ...int) bool {
 	return s.AddClause(lits...)
 }
 
-// sizeBins gives each implication list created since the last census
-// or Reset, if it still has no storage, a slot carved at exactly its
-// length from one fresh block: the count-then-fill construction of
-// graph.FromEdgeStream. stream replays through count, in DIMACS form,
-// the clauses about to be added, and each clause of two literals is one
-// entry in each literal's list. Without such lists it takes no census.
-// The load's appends then fill the slots in order. A clause that loading
-// drops or shortens to one literal leaves its slots short of capacity.
-// An append past a slot moves that list to storage of its own, as
-// before: it comes from a learnt or later clause, or from a longer
-// clause that loading shortened to two literals.
-func (s *Solver) sizeBins(stream func(count func(lits ...int))) {
-	from := s.binsSized
-	if from >= len(s.bins) {
-		return
-	}
-	s.binsSized = len(s.bins)
-	fresh := s.bins[from:]
-	counts := make([]uint32, len(fresh))
-	stream(func(lits ...int) {
-		if len(lits) != 2 {
-			return
-		}
-		for _, d := range lits {
-			if i := int(LitFromDimacs(d)) - from; i >= 0 && i < len(counts) {
-				counts[i]++
-			}
-		}
-	})
-	total := 0
-	for i, n := range counts {
-		if cap(fresh[i]) == 0 {
-			total += int(n)
-		}
-	}
-	block := make([]Lit, total)
-	for i, n := range counts {
-		if n > 0 && cap(fresh[i]) == 0 {
-			fresh[i] = block[:0:n]
-			block = block[n:]
-		}
-	}
-}
-
 // addBinary stores the binary clause (a ∨ b) as one entry in each of
 // its literals' implication lists; the caller counts it.
 func (s *Solver) addBinary(a, b Lit) {
-	s.bins[a] = append(s.bins[a], b)
-	s.bins[b] = append(s.bins[b], a)
+	s.bins.push(a, b)
+	s.bins.push(b, a)
 }
 
 func (s *Solver) attach(ref ClauseRef) {
@@ -548,7 +501,7 @@ func (s *Solver) propagate() ClauseRef {
 		s.qhead++
 		s.Stats.Propagations++
 		falseLit := p.Neg()
-		for _, q := range s.bins[falseLit] {
+		for _, q := range s.bins.list(falseLit) {
 			switch s.value(q) {
 			case lUndef:
 				s.uncheckedEnqueue(q, binRef(falseLit))
