@@ -22,11 +22,11 @@ import "math"
 //
 // Only clauses of three or more literals live here. A binary clause
 // (a ∨ b) is two implication-list entries, b in a's list and a in b's
-// (see implication.go), and a reason or conflict on it is a tagged ClauseRef:
-// the top bit set, the clause's other literal in the low 31 bits. Arena
-// offsets therefore stay below 2^31 (alloc panics past that), and
-// propagation, conflict analysis and compaction never read the arena
-// for a binary clause.
+// (see implication.go), and a reason or conflict on it is a tagged
+// ClauseRef: the top bit set, the clause's other literal in the low 31
+// bits. Arena offsets therefore stay below 2^31 (alloc panics past
+// that), and propagation, conflict analysis and compaction never read
+// the arena for a binary clause.
 type ClauseRef = uint32
 
 // RefUndef is the null clause reference ("no clause"), the arena
