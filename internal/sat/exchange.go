@@ -128,7 +128,7 @@ func (s *Solver) importShared(lits []Lit, lbd int32) (accepted, alive bool) {
 		return true, true
 	}
 	if len(buf) == 2 {
-		s.addBinary(buf[0], buf[1])
+		s.bins.add(buf[0], buf[1])
 		s.binLearnts++
 		return true, true
 	}

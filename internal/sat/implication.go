@@ -50,13 +50,37 @@ type implLists struct {
 func (il *implLists) all() []span { return il.spans[:cap(il.spans)] }
 
 // list returns l's entries as a view into their region, valid until the
-// next push, census or reset.
+// next add, census or reset.
 func (il *implLists) list(l Lit) []Lit {
 	sp := il.spans[l]
 	if sp.off&inOver != 0 {
 		return il.over[sp.off&^inOver:][:sp.n]
 	}
 	return il.slab[sp.off:][:sp.n]
+}
+
+// add stores the binary clause (a ∨ b): b in a's list and a in b's.
+func (il *implLists) add(a, b Lit) {
+	if !il.fill(a, b) {
+		il.push(a, b)
+	}
+	if !il.fill(b, a) {
+		il.push(b, a)
+	}
+}
+
+// fill appends q to l's list if the list lies in the slab with room in
+// its slot, as every append of a load into carved slots does. Unlike
+// push it inlines, which keeps a warm reload as fast as appends to
+// per-literal slices.
+func (il *implLists) fill(l, q Lit) bool {
+	sp := &il.spans[l]
+	if sp.n == sp.cap || sp.off&inOver != 0 {
+		return false
+	}
+	il.slab[sp.off+sp.n] = q
+	sp.n++
+	return true
 }
 
 // push appends q to l's list, moving the list first if its slot is full.

@@ -7,7 +7,7 @@ import (
 )
 
 // TestImplicationListsAgainstSlices drives the implication-list store
-// through random new variables, pushes, loads (a census, then the
+// through random new variables, binary clauses, loads (a census, then the
 // counted entries) and resets, with lists moving to the overflow region,
 // back to the slab and through repacks. After every step each list must
 // equal a plain slice fed the same entries and the store's invariants
@@ -24,9 +24,10 @@ func TestImplicationListsAgainstSlices(t *testing.T) {
 			ref = append(ref, nil, nil)
 		}
 	}
-	push := func(a, b Lit) {
-		il.push(a, b)
+	add := func(a, b Lit) {
+		il.add(a, b)
 		ref[a] = append(ref[a], b)
+		ref[b] = append(ref[b], a)
 	}
 	lit := func() Lit { return Lit(rng.Intn(len(ref))) }
 	var moves, repacks, censuses int
@@ -63,8 +64,7 @@ func TestImplicationListsAgainstSlices(t *testing.T) {
 				censuses++
 			}
 			for _, c := range clauses {
-				push(c[0], c[1])
-				push(c[1], c[0])
+				add(c[0], c[1])
 			}
 			for _, l := range empty {
 				if sp := il.spans[l]; sp.n != sp.cap {
@@ -72,9 +72,7 @@ func TestImplicationListsAgainstSlices(t *testing.T) {
 				}
 			}
 		default:
-			a, b := lit(), lit()
-			push(a, b)
-			push(b, a)
+			add(lit(), lit())
 		}
 		if len(il.moved) > moved {
 			moves++

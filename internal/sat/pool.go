@@ -42,8 +42,8 @@ type Pool struct {
 // Table-2 instance while still shedding pathological outliers. A binary
 // clause's two list entries count one word each (see ArenaStats), so
 // the direct encoding of the 10× scaled fabric, 99% binary, retains
-// 2.8M words after its width search and is reused, while the 30× one
-// retains 8.5M and is dropped.
+// 2,799,758 words after its width search and is reused, while the 30×
+// one retains 8,497,490 and is dropped.
 const DefaultMaxRetainedWords = 1 << 23
 
 // Get returns a solver reset and configured with opts. The solver is

@@ -425,7 +425,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = s.propagate() == RefUndef
 		return s.ok
 	case 2:
-		s.addBinary(out[0], out[1])
+		s.bins.add(out[0], out[1])
 		s.binClauses++
 		return true
 	}
@@ -443,13 +443,6 @@ func (s *Solver) AddDimacsClause(dimacs ...int) bool {
 	}
 	s.litBuf = lits
 	return s.AddClause(lits...)
-}
-
-// addBinary stores the binary clause (a ∨ b) as one entry in each of
-// its literals' implication lists; the caller counts it.
-func (s *Solver) addBinary(a, b Lit) {
-	s.bins.push(a, b)
-	s.bins.push(b, a)
 }
 
 func (s *Solver) attach(ref ClauseRef) {
@@ -880,7 +873,7 @@ func (s *Solver) search(nofConflicts int64) Status {
 			} else {
 				lbd := s.computeLBD(learnt)
 				if len(learnt) == 2 {
-					s.addBinary(learnt[0], learnt[1])
+					s.bins.add(learnt[0], learnt[1])
 					s.binLearnts++
 					s.uncheckedEnqueue(learnt[0], binRef(learnt[1]))
 				} else {
