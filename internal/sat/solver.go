@@ -321,7 +321,7 @@ func (s *Solver) NewVar() Var {
 // extendLitLists adds the two watch lists of a new variable. When a
 // Reset left capacity behind it re-exposes the retained inner lists by
 // reslicing; appending nil would orphan them.
-func extendLitLists[T any](lists [][]T) [][]T {
+func extendLitLists(lists [][]watch) [][]watch {
 	n := len(lists)
 	if cap(lists) < n+2 {
 		return append(lists, nil, nil)
