@@ -70,9 +70,9 @@ func (il *implLists) add(a, b Lit) {
 }
 
 // fill appends q to l's list if the list lies in the slab with room in
-// its slot, as every append of a load into carved slots does. Unlike
-// push it inlines, which keeps a warm reload as fast as appends to
-// per-literal slices.
+// its slot, as every append of a load into carved slots does. It is
+// small enough to inline, so those appends, one per entry, cost no
+// function call; push takes the rest.
 func (il *implLists) fill(l, q Lit) bool {
 	sp := &il.spans[l]
 	if sp.n == sp.cap || sp.off&inOver != 0 {
