@@ -88,6 +88,25 @@ func TestParseDIMACSErrors(t *testing.T) {
 	}
 }
 
+// TestParseDIMACSVariableLimit feeds the parser a literal and a header
+// variable count beyond maxVars, the most variables a solver can create.
+// The parser accepts both, so solving either formula panics with
+// "sat: variable limit exceeded" instead of failing at the parse.
+func TestParseDIMACSVariableLimit(t *testing.T) {
+	for _, in := range []string{
+		"p cnf 1 1\n1073741824 0\n",
+		"p cnf 2000000000 1\n1 0\n",
+	} {
+		cnf, err := ParseDIMACS(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("input %q: %v", in, err)
+		}
+		if cnf.NumVars <= maxVars {
+			t.Errorf("input %q: NumVars = %d, within the limit %d", in, cnf.NumVars, maxVars)
+		}
+	}
+}
+
 func TestParseDIMACSGrowsVars(t *testing.T) {
 	cnf, err := ParseDIMACS(strings.NewReader("p cnf 1 1\n5 0\n"))
 	if err != nil {
