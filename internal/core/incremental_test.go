@@ -44,7 +44,11 @@ func TestEncodeIncrementalWidthEquivalence(t *testing.T) {
 				Encode(BuildCSP(g, w, strat.Symmetry), strat.Encoding).CNF,
 				sat.Options{}).Status
 			probe := &sat.CNF{NumVars: cnf.NumVars}
-			for _, cl := range cnf.Clauses {
+			for i := range cnf.NumClauses() {
+				var cl []int
+				for _, l := range cnf.Clause(i) {
+					cl = append(cl, int(l))
+				}
 				probe.AddClause(cl...)
 			}
 			if sel := inc.SelectorVar(w); sel != 0 {

@@ -41,7 +41,8 @@ func RunTable1() *Table1 {
 		e := core.Encode(core.NewCSP(g, 3), enc)
 		row := Table1Row{Encoding: kind.String(), Vars: e.CNF.NumVars}
 		name := table1VarNamer(kind, e.CNF.NumVars)
-		for _, cl := range e.CNF.Clauses {
+		for i := range e.CNF.NumClauses() {
+			cl := e.CNF.Clause(i)
 			s := renderClause(cl, name)
 			switch classifyTable1Clause(cl, e) {
 			case "at-least-one":
@@ -76,7 +77,7 @@ func table1VarNamer(kind core.Kind, numVars int) func(int) string {
 }
 
 // classifyTable1Clause assigns a clause to the paper's four columns.
-func classifyTable1Clause(cl []int, e *core.Encoded) string {
+func classifyTable1Clause(cl []int32, e *core.Encoded) string {
 	pos, neg := 0, 0
 	spansBoth := spansBothVertices(cl, e.CNF.NumVars/2)
 	for _, l := range cl {
@@ -98,10 +99,10 @@ func classifyTable1Clause(cl []int, e *core.Encoded) string {
 	}
 }
 
-func spansBothVertices(cl []int, perVertex int) bool {
+func spansBothVertices(cl []int32, perVertex int) bool {
 	var lo, hi bool
 	for _, l := range cl {
-		if abs(l) <= perVertex {
+		if abs(int(l)) <= perVertex {
 			lo = true
 		} else {
 			hi = true
@@ -119,8 +120,11 @@ func abs(x int) int {
 
 // renderClause prints a clause as a disjunction with named variables,
 // literals sorted by variable for readability.
-func renderClause(cl []int, name func(int) string) string {
-	sorted := append([]int(nil), cl...)
+func renderClause(cl []int32, name func(int) string) string {
+	sorted := make([]int, len(cl))
+	for i, l := range cl {
+		sorted[i] = int(l)
+	}
 	sort.Slice(sorted, func(i, j int) bool { return abs(sorted[i]) < abs(sorted[j]) })
 	parts := make([]string, len(sorted))
 	for i, l := range sorted {

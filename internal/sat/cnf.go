@@ -3,15 +3,25 @@ package sat
 import (
 	"context"
 	"fmt"
+	"math"
 )
 
 // CNF is a formula in conjunctive normal form with literals in DIMACS
 // convention: variables are 1-based, a negative integer is a negated
 // literal, and 0 never appears inside a clause. CNF is the interchange
-// type between the encoders in package core and this solver.
+// type between the encoders in package core and this solver, and the
+// formula DIMACS export and DRAT checks read.
+//
+// The clauses live back to back in one literal slab, so a clause costs
+// its literals, 4 bytes each, plus a 4-byte end offset: a binary clause
+// takes 12 bytes and no allocation of its own. Read them through
+// NumClauses and Clause.
 type CNF struct {
 	NumVars int
-	Clauses [][]int
+	// lits holds every clause's literals in order; clause i is
+	// lits[ends[i-1]:ends[i]], with ends[-1] read as 0.
+	lits []int32
+	ends []uint32
 	// Comments are emitted at the top of DIMACS output; encoders use
 	// them to record the encoding, symmetry heuristic and source graph.
 	Comments []string
@@ -20,17 +30,33 @@ type CNF struct {
 // AddClause appends a copy of the clause. Callers may reuse the slice
 // after the call, per the clause-sink contract (see core.ClauseSink):
 // emitters stream clauses from a scratch buffer and every sink copies
-// what it intends to keep.
+// what it intends to keep. It allocates only when the slab grows, and
+// panics on literal 0 or on a variable beyond the solver's limit.
 func (c *CNF) AddClause(lits ...int) {
 	for _, l := range lits {
 		if l == 0 {
 			panic("sat: literal 0 in clause")
 		}
+		if l > maxVars || l < -maxVars {
+			panic("sat: variable limit exceeded")
+		}
 		if v := abs(l); v > c.NumVars {
 			c.NumVars = v
 		}
 	}
-	c.Clauses = append(c.Clauses, append([]int(nil), lits...))
+	for _, l := range lits {
+		c.lits = append(c.lits, int32(l))
+	}
+	c.endClause()
+}
+
+// endClause closes the clause made of the literals appended since the
+// last one ended.
+func (c *CNF) endClause() {
+	if uint64(len(c.lits)) > math.MaxUint32 {
+		panic("sat: CNF exceeds 2^32-1 literals")
+	}
+	c.ends = append(c.ends, uint32(len(c.lits)))
 }
 
 // DeclareVars raises NumVars to n: the clause-sink declaration (see
@@ -43,26 +69,35 @@ func (c *CNF) DeclareVars(n int) {
 }
 
 // NumClauses returns the number of clauses.
-func (c *CNF) NumClauses() int { return len(c.Clauses) }
+func (c *CNF) NumClauses() int { return len(c.ends) }
 
 // NumLiterals returns the total literal count over all clauses.
-func (c *CNF) NumLiterals() int {
-	n := 0
-	for _, cl := range c.Clauses {
-		n += len(cl)
+func (c *CNF) NumLiterals() int { return len(c.lits) }
+
+// Clause returns clause i, 0 <= i < NumClauses(), as a view into the
+// slab. The view is read-only, and stays valid while clauses are added.
+func (c *CNF) Clause(i int) []int32 {
+	end := c.ends[i]
+	return c.lits[c.start(i):end:end]
+}
+
+// start returns the slab offset of clause i's first literal.
+func (c *CNF) start(i int) uint32 {
+	if i == 0 {
+		return 0
 	}
-	return n
+	return c.ends[i-1]
 }
 
 // Validate checks structural well-formedness (no zero literals, all
 // variables within NumVars, no empty header mismatch).
 func (c *CNF) Validate() error {
-	for i, cl := range c.Clauses {
-		for _, l := range cl {
+	for i := range c.ends {
+		for _, l := range c.Clause(i) {
 			if l == 0 {
 				return fmt.Errorf("sat: clause %d contains literal 0", i)
 			}
-			if abs(l) > c.NumVars {
+			if abs(int(l)) > c.NumVars {
 				return fmt.Errorf("sat: clause %d literal %d exceeds NumVars=%d", i, l, c.NumVars)
 			}
 		}
@@ -84,13 +119,20 @@ func abs(x int) int {
 // clauses.
 func (s *Solver) Load(c *CNF) bool {
 	s.ensureVars(c.NumVars)
-	s.bins.census(func(count func(lits ...int)) {
-		for _, cl := range c.Clauses {
-			count(cl...)
+	s.bins.census(func(count func(a, b Lit)) {
+		for i := range c.ends {
+			if cl := c.Clause(i); len(cl) == 2 {
+				count(LitFromDimacs(int(cl[0])), LitFromDimacs(int(cl[1])))
+			}
 		}
 	})
-	for _, cl := range c.Clauses {
-		if !s.AddDimacsClause(cl...) {
+	for i := range c.ends {
+		lits := s.litBuf[:0]
+		for _, d := range c.Clause(i) {
+			lits = append(lits, LitFromDimacs(int(d)))
+		}
+		s.litBuf = lits
+		if !s.AddClause(lits...) {
 			return false
 		}
 	}
@@ -152,10 +194,10 @@ func solveCNFOn(s *Solver, ctx context.Context, c *CNF) Result {
 // Result.Model) satisfies the formula. Variables beyond len(model) are
 // treated as false.
 func (c *CNF) Eval(model []bool) bool {
-	for _, cl := range c.Clauses {
+	for i := range c.ends {
 		sat := false
-		for _, l := range cl {
-			v := abs(l)
+		for _, l := range c.Clause(i) {
+			v := abs(int(l))
 			val := v-1 < len(model) && model[v-1]
 			if (l > 0) == val {
 				sat = true

@@ -2,10 +2,12 @@ package sat
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // WriteDIMACS writes the formula in DIMACS CNF format, including any
@@ -17,19 +19,16 @@ func WriteDIMACS(w io.Writer, c *CNF) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", c.NumVars, len(c.Clauses)); err != nil {
+	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", c.NumVars, c.NumClauses()); err != nil {
 		return err
 	}
-	for _, cl := range c.Clauses {
-		for _, l := range cl {
-			if _, err := bw.WriteString(strconv.Itoa(l)); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(' '); err != nil {
-				return err
-			}
+	var line []byte
+	for i := range c.NumClauses() {
+		line = line[:0]
+		for _, l := range c.Clause(i) {
+			line = append(strconv.AppendInt(line, int64(l), 10), ' ')
 		}
-		if _, err := bw.WriteString("0\n"); err != nil {
+		if _, err := bw.Write(append(line, "0\n"...)); err != nil {
 			return err
 		}
 	}
@@ -40,30 +39,31 @@ func WriteDIMACS(w io.Writer, c *CNF) error {
 // anywhere, clauses spanning multiple lines, and a missing final
 // terminator on the last clause. Literal counts exceeding the header
 // are accepted (NumVars grows); fewer clauses than declared is an
-// error.
+// error, and so is a variable beyond the solver's limit of 2^30-1,
+// in the header or in a clause. Literals go straight into the
+// formula's slab, so parsing allocates only as the slab grows.
 func ParseDIMACS(r io.Reader) (*CNF, error) {
 	cnf := &CNF{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	declaredClauses := -1
 	headerSeen := false
-	var cur []int
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
 		switch text[0] {
 		case 'c':
-			cnf.Comments = append(cnf.Comments, strings.TrimSpace(strings.TrimPrefix(text, "c")))
+			cnf.Comments = append(cnf.Comments, string(bytes.TrimSpace(text[1:])))
 			continue
 		case 'p':
 			if headerSeen {
 				return nil, fmt.Errorf("sat: line %d: duplicate DIMACS header", line)
 			}
-			fields := strings.Fields(text)
+			fields := strings.Fields(string(text))
 			if len(fields) != 4 || fields[1] != "cnf" {
 				return nil, fmt.Errorf("sat: line %d: malformed header %q", line, text)
 			}
@@ -71,6 +71,9 @@ func ParseDIMACS(r io.Reader) (*CNF, error) {
 			nc, err2 := strconv.Atoi(fields[3])
 			if err1 != nil || err2 != nil || nv < 0 || nc < 0 {
 				return nil, fmt.Errorf("sat: line %d: malformed header %q", line, text)
+			}
+			if nv > maxVars {
+				return nil, fmt.Errorf("sat: line %d: header declares %d variables, above the limit %d", line, nv, maxVars)
 			}
 			cnf.NumVars = nv
 			declaredClauses = nc
@@ -80,31 +83,43 @@ func ParseDIMACS(r io.Reader) (*CNF, error) {
 		if !headerSeen {
 			return nil, fmt.Errorf("sat: line %d: clause before header", line)
 		}
-		for _, f := range strings.Fields(text) {
-			v, err := strconv.Atoi(f)
+		for len(text) > 0 {
+			var f []byte
+			f, text = nextField(text)
+			v, err := strconv.Atoi(string(f))
 			if err != nil {
 				return nil, fmt.Errorf("sat: line %d: bad literal %q", line, f)
 			}
 			if v == 0 {
-				lits := make([]int, len(cur))
-				copy(lits, cur)
-				cnf.AddClause(lits...)
-				cur = cur[:0]
+				cnf.endClause()
 				continue
 			}
-			cur = append(cur, v)
+			if v > maxVars || v < -maxVars {
+				return nil, fmt.Errorf("sat: line %d: literal %d beyond the variable limit %d", line, v, maxVars)
+			}
+			cnf.lits = append(cnf.lits, int32(v))
+			cnf.NumVars = max(cnf.NumVars, abs(v))
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(cur) > 0 {
-		lits := make([]int, len(cur))
-		copy(lits, cur)
-		cnf.AddClause(lits...)
+	if int(cnf.start(len(cnf.ends))) < len(cnf.lits) {
+		cnf.endClause()
 	}
-	if declaredClauses >= 0 && len(cnf.Clauses) < declaredClauses {
-		return nil, fmt.Errorf("sat: header declares %d clauses, found %d", declaredClauses, len(cnf.Clauses))
+	if declaredClauses >= 0 && cnf.NumClauses() < declaredClauses {
+		return nil, fmt.Errorf("sat: header declares %d clauses, found %d", declaredClauses, cnf.NumClauses())
 	}
 	return cnf, nil
+}
+
+// nextField splits off the first field of text, a line with no leading
+// space, where strings.Fields would, and returns the rest with its
+// leading space dropped.
+func nextField(text []byte) (field, rest []byte) {
+	i := bytes.IndexFunc(text, unicode.IsSpace)
+	if i < 0 {
+		return text, nil
+	}
+	return text[:i], bytes.TrimLeftFunc(text[i:], unicode.IsSpace)
 }

@@ -21,16 +21,16 @@ func TestDIMACSRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if got.NumVars != orig.NumVars || len(got.Clauses) != len(orig.Clauses) {
+		if got.NumVars != orig.NumVars || got.NumClauses() != orig.NumClauses() {
 			t.Fatalf("trial %d: header mismatch %d/%d vs %d/%d", trial,
-				got.NumVars, len(got.Clauses), orig.NumVars, len(orig.Clauses))
+				got.NumVars, got.NumClauses(), orig.NumVars, orig.NumClauses())
 		}
-		for i := range orig.Clauses {
-			if len(orig.Clauses[i]) != len(got.Clauses[i]) {
+		for i := range orig.NumClauses() {
+			if len(orig.Clause(i)) != len(got.Clause(i)) {
 				t.Fatalf("clause %d length mismatch", i)
 			}
-			for j := range orig.Clauses[i] {
-				if orig.Clauses[i][j] != got.Clauses[i][j] {
+			for j := range orig.Clause(i) {
+				if orig.Clause(i)[j] != got.Clause(i)[j] {
 					t.Fatalf("clause %d literal %d mismatch", i, j)
 				}
 			}
@@ -53,12 +53,12 @@ c mid comment
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cnf.NumVars != 3 || len(cnf.Clauses) != 2 {
-		t.Fatalf("got %d vars %d clauses", cnf.NumVars, len(cnf.Clauses))
+	if cnf.NumVars != 3 || cnf.NumClauses() != 2 {
+		t.Fatalf("got %d vars %d clauses", cnf.NumVars, cnf.NumClauses())
 	}
 	// First clause spans two lines: 1 -2 3.
-	if len(cnf.Clauses[0]) != 3 || cnf.Clauses[0][2] != 3 {
-		t.Fatalf("multiline clause parsed wrong: %v", cnf.Clauses[0])
+	if len(cnf.Clause(0)) != 3 || cnf.Clause(0)[2] != 3 {
+		t.Fatalf("multiline clause parsed wrong: %v", cnf.Clause(0))
 	}
 }
 
@@ -67,8 +67,8 @@ func TestParseDIMACSMissingFinalZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cnf.Clauses) != 1 || len(cnf.Clauses[0]) != 2 {
-		t.Fatalf("got %v", cnf.Clauses)
+	if cnf.NumClauses() != 1 || len(cnf.Clause(0)) != 2 {
+		t.Fatalf("got %d clauses, %d literals", cnf.NumClauses(), cnf.NumLiterals())
 	}
 }
 
@@ -90,20 +90,23 @@ func TestParseDIMACSErrors(t *testing.T) {
 
 // TestParseDIMACSVariableLimit feeds the parser a literal and a header
 // variable count beyond maxVars, the most variables a solver can create.
-// The parser accepts both, so solving either formula panics with
-// "sat: variable limit exceeded" instead of failing at the parse.
+// Solving either formula would panic with "sat: variable limit
+// exceeded", so the parse must fail instead, naming the line; the
+// largest variable within the limit still parses.
 func TestParseDIMACSVariableLimit(t *testing.T) {
-	for _, in := range []string{
-		"p cnf 1 1\n1073741824 0\n",
-		"p cnf 2000000000 1\n1 0\n",
+	for in, line := range map[string]string{
+		"p cnf 1 1\n1073741824 0\n":        "line 2",
+		"p cnf 1 1\n1 -1073741824 0\n":     "line 2",
+		"p cnf 2000000000 1\n1 0\n":        "line 1",
+		"c big\np cnf 1073741824 1\n1 0\n": "line 2",
 	} {
-		cnf, err := ParseDIMACS(strings.NewReader(in))
-		if err != nil {
-			t.Fatalf("input %q: %v", in, err)
+		if _, err := ParseDIMACS(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("input %q: error %v, want one at %s", in, err, line)
 		}
-		if cnf.NumVars <= maxVars {
-			t.Errorf("input %q: NumVars = %d, within the limit %d", in, cnf.NumVars, maxVars)
-		}
+	}
+	cnf, err := ParseDIMACS(strings.NewReader("p cnf 1 1\n-1073741823 0\n"))
+	if err != nil || cnf.NumVars != maxVars {
+		t.Fatalf("largest variable: NumVars %v, error %v; want %d", cnf, err, maxVars)
 	}
 }
 

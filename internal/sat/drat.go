@@ -103,8 +103,13 @@ func newChecker(cnf *CNF) *checker {
 		clauses: map[int]*chkClause{},
 		occur:   map[int][]int{},
 	}
-	for _, cl := range cnf.Clauses {
-		c.add(cl)
+	var lits []int
+	for i := range cnf.NumClauses() {
+		lits = lits[:0]
+		for _, l := range cnf.Clause(i) {
+			lits = append(lits, int(l))
+		}
+		c.add(lits)
 	}
 	return c
 }

@@ -26,8 +26,8 @@ func (f *fakeExchange) Restart(add func([]Lit, int32) bool) {
 
 func loadPHPInto(s *Solver, pigeons, holes int) {
 	c := php(pigeons, holes)
-	for _, cl := range c.Clauses {
-		s.AddDimacsClause(cl...)
+	for i := range c.NumClauses() {
+		s.AddDimacsClause(appendClause(nil, c, i)...)
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzParseDimacs checks that ParseDIMACS never panics, that every
-// formula it accepts is structurally valid, and that accepted formulas
-// survive a WriteDIMACS/ParseDIMACS round trip unchanged.
+// formula it accepts is structurally valid and within the solver's
+// variable limit, and that accepted formulas survive a
+// WriteDIMACS/ParseDIMACS round trip unchanged, clause by clause.
 func FuzzParseDimacs(f *testing.F) {
 	seeds := []string{
 		"p cnf 2 1\n1 2 0\n",
@@ -23,6 +24,8 @@ func FuzzParseDimacs(f *testing.F) {
 		"1 2 0\n",                     // clause before header
 		"p cnf 2 1\np cnf 2 1\n1 0\n", // duplicate header
 		"\n\nc only comments\nc and blanks\n",
+		"p cnf 1 1\n1073741824 0\n", // literal beyond the variable limit
+		"p cnf 2000000000 1\n1 0\n", // header beyond the variable limit
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -35,6 +38,9 @@ func FuzzParseDimacs(f *testing.F) {
 		if err := cnf.Validate(); err != nil {
 			t.Fatalf("accepted formula fails Validate: %v\ninput: %q", err, in)
 		}
+		if cnf.NumVars > maxVars {
+			t.Fatalf("accepted formula has %d variables, above the limit %d\ninput: %q", cnf.NumVars, maxVars, in)
+		}
 		var buf bytes.Buffer
 		if err := WriteDIMACS(&buf, cnf); err != nil {
 			t.Fatalf("write: %v", err)
@@ -43,17 +49,18 @@ func FuzzParseDimacs(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reparse of own output failed: %v\noutput: %q", err, buf.String())
 		}
-		if back.NumVars != cnf.NumVars || len(back.Clauses) != len(cnf.Clauses) {
+		if back.NumVars != cnf.NumVars || back.NumClauses() != cnf.NumClauses() {
 			t.Fatalf("round trip changed shape: vars %d->%d, clauses %d->%d",
-				cnf.NumVars, back.NumVars, len(cnf.Clauses), len(back.Clauses))
+				cnf.NumVars, back.NumVars, cnf.NumClauses(), back.NumClauses())
 		}
-		for i, cl := range cnf.Clauses {
-			if len(back.Clauses[i]) != len(cl) {
-				t.Fatalf("clause %d: length %d -> %d", i, len(cl), len(back.Clauses[i]))
+		for i := range cnf.NumClauses() {
+			cl := cnf.Clause(i)
+			if len(back.Clause(i)) != len(cl) {
+				t.Fatalf("clause %d: length %d -> %d", i, len(cl), len(back.Clause(i)))
 			}
 			for j, l := range cl {
-				if back.Clauses[i][j] != l {
-					t.Fatalf("clause %d literal %d: %d -> %d", i, j, l, back.Clauses[i][j])
+				if back.Clause(i)[j] != l {
+					t.Fatalf("clause %d literal %d: %d -> %d", i, j, l, back.Clause(i)[j])
 				}
 			}
 		}
@@ -80,19 +87,26 @@ func FuzzSolveAgainstBrute(f *testing.F) {
 		switch res.Status {
 		case Sat:
 			if !cnf.Eval(res.Model) {
-				t.Fatalf("model %v does not satisfy %v", res.Model, cnf.Clauses)
+				t.Fatalf("model %v does not satisfy\n%s", res.Model, dimacsText(cnf))
 			}
 		case Unsat:
 			if want, _ := BruteForce(cnf); want != Unsat {
-				t.Fatalf("solver says Unsat, brute force %v: %v", want, cnf.Clauses)
+				t.Fatalf("solver says Unsat, brute force %v:\n%s", want, dimacsText(cnf))
 			}
 			if err := CheckDRAT(cnf, &proof); err != nil {
-				t.Fatalf("proof rejected: %v\nformula %v", err, cnf.Clauses)
+				t.Fatalf("proof rejected: %v\nformula\n%s", err, dimacsText(cnf))
 			}
 		default:
-			t.Fatalf("no answer (%v) on %v", res.Status, cnf.Clauses)
+			t.Fatalf("no answer (%v) on\n%s", res.Status, dimacsText(cnf))
 		}
 	})
+}
+
+// dimacsText renders the formula in DIMACS, for failure messages.
+func dimacsText(c *CNF) string {
+	var b strings.Builder
+	WriteDIMACS(&b, c)
+	return b.String()
 }
 
 // fuzzCNF decodes bytes into a formula over 1 to 12 variables, the

@@ -156,9 +156,9 @@ func (il *implLists) repack(need int) {
 
 // census carves every empty list a slot in the slab at exactly its count
 // of binary clauses: the count-then-fill construction of
-// graph.FromEdgeStream. stream replays through count, in DIMACS form, the
-// clauses about to be added, and each clause of two literals is one entry
-// in each literal's list; the count goes straight into the list's span.
+// graph.FromEdgeStream. stream replays through count the clauses of two
+// literals about to be added, each one entry in each literal's list; the
+// count goes straight into the list's span.
 // It runs only when lists have been created since the last census or
 // Reset. After a Reset every list is empty, so a solver growing past the
 // lists it kept drops their old slots instead of overflowing them. A list
@@ -166,7 +166,7 @@ func (il *implLists) repack(need int) {
 // load's appends then fill the slots in order. A clause that loading
 // drops or shortens to one literal leaves its slots short of capacity,
 // and one that loading shortens to two literals moves a list.
-func (il *implLists) census(stream func(count func(lits ...int))) {
+func (il *implLists) census(stream func(count func(a, b Lit))) {
 	if il.sized >= len(il.spans) {
 		return
 	}
@@ -177,12 +177,9 @@ func (il *implLists) census(stream func(count func(lits ...int))) {
 			all[i] = span{}
 		}
 	}
-	stream(func(lits ...int) {
-		if len(lits) != 2 {
-			return
-		}
-		for _, d := range lits {
-			if l := int(LitFromDimacs(d)); l < len(il.spans) && all[l].n == 0 {
+	stream(func(a, b Lit) {
+		for _, l := range [2]Lit{a, b} {
+			if int(l) < len(il.spans) && all[l].n == 0 {
 				all[l].cap++
 			}
 		}

@@ -52,10 +52,10 @@ func TestImplicationListsAgainstSlices(t *testing.T) {
 				}
 			}
 			counted := false
-			il.census(func(count func(lits ...int)) {
+			il.census(func(count func(a, b Lit)) {
 				counted = true
 				for _, c := range clauses {
-					count(c[0].Dimacs(), c[1].Dimacs())
+					count(c[0], c[1])
 				}
 			})
 			if !counted {

@@ -160,4 +160,12 @@ func (ss SolverSink) DeclareVars(n int) { ss.S.ensureVars(n) }
 // after DeclareVars: replay calls count once per clause. The solver
 // runs it only when DeclareVars created implication lists, and then
 // sizes every empty list from its binary-clause count as Load does.
-func (ss SolverSink) Census(replay func(count func(lits ...int))) { ss.S.bins.census(replay) }
+func (ss SolverSink) Census(replay func(count func(lits ...int))) {
+	ss.S.bins.census(func(count func(a, b Lit)) {
+		replay(func(lits ...int) {
+			if len(lits) == 2 {
+				count(LitFromDimacs(lits[0]), LitFromDimacs(lits[1]))
+			}
+		})
+	})
+}

@@ -149,8 +149,8 @@ func TestSolveAssumingAgainstBruteForce(t *testing.T) {
 			for probe := 0; probe < 6; probe++ {
 				var assumps []Lit
 				ref := &CNF{NumVars: cnf.NumVars}
-				for _, cl := range cnf.Clauses {
-					ref.AddClause(append([]int(nil), cl...)...)
+				for i := range cnf.NumClauses() {
+					ref.AddClause(appendClause(nil, cnf, i)...)
 				}
 				for v := 1; v <= vars; v++ {
 					if rng.Intn(3) != 0 {
@@ -178,8 +178,8 @@ func TestSolveAssumingAgainstBruteForce(t *testing.T) {
 					// The failed core must itself be inconsistent with the
 					// original formula.
 					coreRef := &CNF{NumVars: cnf.NumVars}
-					for _, cl := range cnf.Clauses {
-						coreRef.AddClause(append([]int(nil), cl...)...)
+					for i := range cnf.NumClauses() {
+						coreRef.AddClause(appendClause(nil, cnf, i)...)
 					}
 					for _, l := range s.FailedAssumptions() {
 						coreRef.AddClause(l.Dimacs())
@@ -280,11 +280,11 @@ func TestIncrementalDRAT(t *testing.T) {
 	// false, Unsat under assumption g.
 	sel := cnf.NumVars + 1
 	guarded := &CNF{NumVars: sel}
-	for _, cl := range cnf.Clauses {
-		if len(cl) > 2 {
-			guarded.AddClause(append(append([]int(nil), cl...), -sel)...)
+	for i := range cnf.NumClauses() {
+		if cl := appendClause(nil, cnf, i); len(cl) > 2 {
+			guarded.AddClause(append(cl, -sel)...)
 		} else {
-			guarded.AddClause(append([]int(nil), cl...)...)
+			guarded.AddClause(cl...)
 		}
 	}
 	s := New(Options{ProofWriter: &proof})

@@ -169,7 +169,10 @@ func (il *implLists) checkInvariants() error {
 // append to one list overwrite the other.
 func TestInvariantsRejectSharedLists(t *testing.T) {
 	s := New(Options{})
-	s.Load(&CNF{NumVars: 3, Clauses: [][]int{{1, 2}, {-1, 3}}})
+	f := &CNF{}
+	f.AddClause(1, 2)
+	f.AddClause(-1, 3)
+	s.Load(f)
 	if err := s.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,9 +266,9 @@ func TestBinaryClausesStayOutOfArena(t *testing.T) {
 		if !s.Load(cnf) {
 			t.Fatalf("trial %d: a 2-CNF without units refuted while loading", trial)
 		}
-		if st := s.ArenaStats(); st.Words != 0 || s.NumClauses() != len(cnf.Clauses) {
+		if st := s.ArenaStats(); st.Words != 0 || s.NumClauses() != cnf.NumClauses() {
 			t.Fatalf("trial %d: %d arena words, NumClauses %d; want 0 and %d",
-				trial, st.Words, s.NumClauses(), len(cnf.Clauses))
+				trial, st.Words, s.NumClauses(), cnf.NumClauses())
 		}
 		s.Solve()
 		conflicts += s.Stats.Conflicts

@@ -141,6 +141,7 @@ func TestLoadAllocsIndependentOfVars(t *testing.T) {
 func TestLoadAllocsIndependentOfClauses(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	small, large := randomCNF(rng, 2000, 1000, 2), randomCNF(rng, 2000, 100000, 2)
+	var buf []int // one clause as DIMACS integers
 	paths := []struct {
 		name string
 		load func(*CNF)
@@ -150,12 +151,14 @@ func TestLoadAllocsIndependentOfClauses(t *testing.T) {
 			ss := SolverSink{S: New(Options{})}
 			ss.DeclareVars(f.NumVars)
 			ss.Census(func(count func(lits ...int)) {
-				for _, cl := range f.Clauses {
-					count(cl...)
+				for i := range f.NumClauses() {
+					buf = appendClause(buf[:0], f, i)
+					count(buf...)
 				}
 			})
-			for _, cl := range f.Clauses {
-				ss.AddClause(cl...)
+			for i := range f.NumClauses() {
+				buf = appendClause(buf[:0], f, i)
+				ss.AddClause(buf...)
 			}
 		}},
 	}
@@ -233,8 +236,8 @@ func TestCarvedListsOverflow(t *testing.T) {
 		for grown.NumVars() < cnf.NumVars {
 			grown.NewVar()
 		}
-		for _, cl := range cnf.Clauses {
-			grown.AddDimacsClause(cl...)
+		for i := range cnf.NumClauses() {
+			grown.AddDimacsClause(appendClause(nil, cnf, i)...)
 		}
 		lit := func() Lit { return MkLit(Var(rng.Intn(cnf.NumVars)), rng.Intn(2) == 0) }
 		for round := 0; round < 4; round++ {
@@ -296,12 +299,12 @@ func TestCensusKeepsExistingLists(t *testing.T) {
 			ss := SolverSink{S: s}
 			ss.DeclareVars(f.NumVars)
 			ss.Census(func(count func(lits ...int)) {
-				for _, cl := range f.Clauses {
-					count(cl...)
+				for i := range f.NumClauses() {
+					count(appendClause(nil, f, i)...)
 				}
 			})
-			for _, cl := range f.Clauses {
-				ss.AddClause(cl...)
+			for i := range f.NumClauses() {
+				ss.AddClause(appendClause(nil, f, i)...)
 			}
 		}},
 	}
@@ -319,8 +322,8 @@ func TestCensusKeepsExistingLists(t *testing.T) {
 				for appended.NumVars() < f.NumVars {
 					appended.NewVar()
 				}
-				for _, cl := range f.Clauses {
-					appended.AddDimacsClause(cl...)
+				for i := range f.NumClauses() {
+					appended.AddDimacsClause(appendClause(nil, f, i)...)
 				}
 			}
 			after := implications(s)
@@ -365,7 +368,7 @@ func TestOverflowKeepsCensusSlab(t *testing.T) {
 		return -a, -b
 	}
 	f := &CNF{NumVars: vars}
-	for len(f.Clauses) < 100000 {
+	for f.NumClauses() < 100000 {
 		f.AddClause(pair())
 	}
 	s := New(Options{})

@@ -134,6 +134,15 @@ const mixed23 = 0
 
 // randomCNF generates a random k-SAT instance, or a mixed 2-/3-SAT one
 // when k is mixed23.
+// appendClause appends clause i of c to dst as DIMACS integers, the
+// form AddClause and AddDimacsClause take.
+func appendClause(dst []int, c *CNF, i int) []int {
+	for _, l := range c.Clause(i) {
+		dst = append(dst, int(l))
+	}
+	return dst
+}
+
 func randomCNF(rng *rand.Rand, vars, clauses, k int) *CNF {
 	cnf := &CNF{NumVars: vars}
 	for i := 0; i < clauses; i++ {
@@ -290,11 +299,13 @@ func TestCNFValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid CNF rejected: %v", err)
 	}
-	bad := &CNF{NumVars: 1, Clauses: [][]int{{1, 0}}}
+	bad := &CNF{NumVars: 1, lits: []int32{1, 0}, ends: []uint32{2}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero literal accepted")
 	}
-	bad2 := &CNF{NumVars: 1, Clauses: [][]int{{2}}}
+	bad2 := &CNF{}
+	bad2.AddClause(2)
+	bad2.NumVars = 1
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("out-of-range literal accepted")
 	}
