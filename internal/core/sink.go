@@ -22,10 +22,10 @@ package core
 // clause, and replay, if the sink calls it, emits every clause of the
 // formula into count in stream order, so the sink can size its clause
 // storage from what is coming. The two production sinks are *sat.CNF
-// (buffering; copies each clause) and sat.SolverSink (streams straight
-// into an incremental solver, which copies literals into its clause
-// arena and implication lists); both take the declaration, and
-// SolverSink takes the census.
+// (buffering; copies each clause into one literal slab) and
+// sat.SolverSink (streams straight into an incremental solver, which
+// copies literals into its clause arena and implication lists); both
+// take the declaration and the census.
 type ClauseSink interface {
 	AddClause(lits ...int)
 }

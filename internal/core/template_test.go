@@ -52,9 +52,12 @@ func TestTemplateMatchesEmitVar(t *testing.T) {
 	}
 }
 
-// TestEncodeIntoAllocsDoNotScale checks that streaming an encode makes
-// no per-vertex allocations: the 10x scaled fabric, with ten times the
-// vertices and edges of the 1x one, may cost only a handful more.
+// TestEncodeIntoAllocsDoNotScale checks that an encode makes no
+// per-vertex or per-clause allocations: the 10x scaled fabric, with ten
+// times the vertices and edges of the 1x one, may cost only a handful
+// more, streamed into a counting sink and buffered by Encode into a
+// *sat.CNF alike. The buffered formula sizes its slab from the census,
+// so its size does not show in the count either.
 func TestEncodeIntoAllocsDoNotScale(t *testing.T) {
 	var fabrics []func(Strategy) *CSP
 	for _, factor := range []int{1, 10} {
@@ -65,23 +68,36 @@ func TestEncodeIntoAllocsDoNotScale(t *testing.T) {
 		}
 		fabrics = append(fabrics, func(s Strategy) *CSP { return BuildCSP(g, p.ChannelWidth, s.Symmetry) })
 	}
+	encodes := []struct {
+		name   string
+		encode func(*CSP, Encoding) int
+	}{
+		{"EncodeInto", func(csp *CSP, enc Encoding) int {
+			cs := &countingSink{sink: discardSink{}}
+			EncodeInto(csp, enc, cs)
+			return cs.n
+		}},
+		{"Encode", func(csp *CSP, enc Encoding) int { return Encode(csp, enc).CNF.NumClauses() }},
+	}
 	for _, spec := range []string{"direct/s1", "ITE-linear-2+muldirect/s1", "ITE-log/s1", "order"} {
 		s, err := ParseStrategy(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var allocs [2]float64
-		for i, build := range fabrics {
-			csp := build(s)
-			allocs[i] = testing.AllocsPerRun(1, func() {
-				if cs := (&countingSink{sink: discardSink{}}); EncodeInto(csp, s.Encoding, cs) == nil || cs.n == 0 {
-					t.Fatal("empty encoding")
-				}
-			})
-		}
-		t.Logf("%s: %.0f allocations at 1x, %.0f at 10x", spec, allocs[0], allocs[1])
-		if allocs[1] > allocs[0]+8 {
-			t.Errorf("%s: EncodeInto makes %.0f allocations at 10x against %.0f at 1x", spec, allocs[1], allocs[0])
+		for _, e := range encodes {
+			var allocs [2]float64
+			for i, build := range fabrics {
+				csp := build(s)
+				allocs[i] = testing.AllocsPerRun(1, func() {
+					if e.encode(csp, s.Encoding) == 0 {
+						t.Fatal("empty encoding")
+					}
+				})
+			}
+			t.Logf("%s %s: %.0f allocations at 1x, %.0f at 10x", e.name, spec, allocs[0], allocs[1])
+			if allocs[1] > allocs[0]+8 {
+				t.Errorf("%s %s: %.0f allocations at 10x against %.0f at 1x", e.name, spec, allocs[1], allocs[0])
+			}
 		}
 	}
 }

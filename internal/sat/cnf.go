@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CNF is a formula in conjunctive normal form with literals in DIMACS
@@ -66,6 +67,19 @@ func (c *CNF) DeclareVars(n int) {
 	if n > c.NumVars {
 		c.NumVars = n
 	}
+}
+
+// Census takes a replay of the clauses an encoder is about to stream,
+// after DeclareVars (see core.ClauseSink), and grows the slab once to
+// hold them all, instead of step by step as they arrive.
+func (c *CNF) Census(replay func(count func(lits ...int))) {
+	clauses, lits := 0, 0
+	replay(func(cl ...int) {
+		clauses++
+		lits += len(cl)
+	})
+	c.lits = slices.Grow(c.lits, lits)
+	c.ends = slices.Grow(c.ends, clauses)
 }
 
 // NumClauses returns the number of clauses.

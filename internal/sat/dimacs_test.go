@@ -41,6 +41,32 @@ func TestDIMACSRoundtrip(t *testing.T) {
 	}
 }
 
+// TestParseDIMACSAllocsDoNotScale: the parser appends literals straight
+// into the formula's slab, so ten times the clauses may cost only a
+// handful more allocations plus the slab's growth: each of its two
+// slices grows by at least 1.25x per reallocation, so at most
+// ceil(log_1.25 10) = 11 more reallocations of each.
+func TestParseDIMACSAllocsDoNotScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var allocs [2]float64
+	for i, clauses := range []int{10000, 100000} {
+		var buf bytes.Buffer
+		if err := WriteDIMACS(&buf, randomCNF(rng, 5000, clauses, mixed23)); err != nil {
+			t.Fatal(err)
+		}
+		allocs[i] = testing.AllocsPerRun(1, func() {
+			cnf, err := ParseDIMACS(bytes.NewReader(buf.Bytes()))
+			if err != nil || cnf.NumClauses() != clauses {
+				t.Fatalf("parsed %d clauses of %d: %v", cnf.NumClauses(), clauses, err)
+			}
+		})
+	}
+	t.Logf("ParseDIMACS: %.0f allocations at 10,000 clauses, %.0f at 100,000", allocs[0], allocs[1])
+	if allocs[1] > allocs[0]+8+2*11 {
+		t.Errorf("ParseDIMACS makes %.0f allocations at 100,000 clauses against %.0f at 10,000", allocs[1], allocs[0])
+	}
+}
+
 func TestParseDIMACSFeatures(t *testing.T) {
 	in := `c a comment
 p cnf 3 2
