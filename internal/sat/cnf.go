@@ -133,10 +133,10 @@ func abs(x int) int {
 // clauses.
 func (s *Solver) Load(c *CNF) bool {
 	s.ensureVars(c.NumVars)
-	s.bins.census(func(count func(a, b Lit)) {
+	s.bins.census(func() {
 		for i := range c.ends {
 			if cl := c.Clause(i); len(cl) == 2 {
-				count(LitFromDimacs(int(cl[0])), LitFromDimacs(int(cl[1])))
+				s.bins.count(LitFromDimacs(int(cl[0])), LitFromDimacs(int(cl[1])))
 			}
 		}
 	})

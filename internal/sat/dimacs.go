@@ -105,7 +105,7 @@ func ParseDIMACS(r io.Reader) (*CNF, error) {
 		return nil, err
 	}
 	if int(cnf.start(len(cnf.ends))) < len(cnf.lits) {
-		cnf.endClause()
+		cnf.endClause() // the last clause lacks its 0 terminator
 	}
 	if declaredClauses >= 0 && cnf.NumClauses() < declaredClauses {
 		return nil, fmt.Errorf("sat: header declares %d clauses, found %d", declaredClauses, cnf.NumClauses())
@@ -113,9 +113,9 @@ func ParseDIMACS(r io.Reader) (*CNF, error) {
 	return cnf, nil
 }
 
-// nextField splits off the first field of text, a line with no leading
-// space, where strings.Fields would, and returns the rest with its
-// leading space dropped.
+// nextField splits off the first field of text, which must not start
+// with a space, where strings.Fields would split it, and returns the
+// rest with its leading space dropped.
 func nextField(text []byte) (field, rest []byte) {
 	i := bytes.IndexFunc(text, unicode.IsSpace)
 	if i < 0 {

@@ -156,9 +156,9 @@ func (il *implLists) repack(need int) {
 
 // census carves every empty list a slot in the slab at exactly its count
 // of binary clauses: the count-then-fill construction of
-// graph.FromEdgeStream. stream replays through count the clauses of two
-// literals about to be added, each one entry in each literal's list; the
-// count goes straight into the list's span.
+// graph.FromEdgeStream. stream replays through il.count the clauses of
+// two literals about to be added, each one entry in each literal's list;
+// the count goes straight into the list's span.
 // It runs only when lists have been created since the last census or
 // Reset. After a Reset every list is empty, so a solver growing past the
 // lists it kept drops their old slots instead of overflowing them. A list
@@ -166,7 +166,7 @@ func (il *implLists) repack(need int) {
 // load's appends then fill the slots in order. A clause that loading
 // drops or shortens to one literal leaves its slots short of capacity,
 // and one that loading shortens to two literals moves a list.
-func (il *implLists) census(stream func(count func(a, b Lit))) {
+func (il *implLists) census(stream func()) {
 	if il.sized >= len(il.spans) {
 		return
 	}
@@ -177,13 +177,7 @@ func (il *implLists) census(stream func(count func(a, b Lit))) {
 			all[i] = span{}
 		}
 	}
-	stream(func(a, b Lit) {
-		for _, l := range [2]Lit{a, b} {
-			if int(l) < len(il.spans) && all[l].n == 0 {
-				all[l].cap++
-			}
-		}
-	})
+	stream()
 	words, kept := 0, false
 	for _, sp := range all {
 		if sp.off&inOver == 0 {
@@ -217,6 +211,16 @@ func (il *implLists) census(stream func(count func(a, b Lit))) {
 	}
 	il.moved = moved
 	il.garbage = len(il.over) - live
+}
+
+// count takes one binary clause (a ∨ b) during a census: it adds one
+// entry to the slot of each literal whose list is empty.
+func (il *implLists) count(a, b Lit) {
+	for _, l := range [2]Lit{a, b} {
+		if int(l) < len(il.spans) && il.spans[l].n == 0 {
+			il.spans[l].cap++
+		}
+	}
 }
 
 // reset empties every list and lays the slots out again back to back,

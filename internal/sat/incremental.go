@@ -161,10 +161,11 @@ func (ss SolverSink) DeclareVars(n int) { ss.S.ensureVars(n) }
 // runs it only when DeclareVars created implication lists, and then
 // sizes every empty list from its binary-clause count as Load does.
 func (ss SolverSink) Census(replay func(count func(lits ...int))) {
-	ss.S.bins.census(func(count func(a, b Lit)) {
+	bins := &ss.S.bins
+	bins.census(func() {
 		replay(func(lits ...int) {
 			if len(lits) == 2 {
-				count(LitFromDimacs(lits[0]), LitFromDimacs(lits[1]))
+				bins.count(LitFromDimacs(lits[0]), LitFromDimacs(lits[1]))
 			}
 		})
 	})
