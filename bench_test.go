@@ -220,8 +220,8 @@ type countSink struct{ clauses int }
 func (s *countSink) AddClause(lits ...int) { s.clauses++ }
 
 // BenchmarkEncodeMaterialized measures the classic pipeline step:
-// build the full CNF clause list in memory (the input to DIMACS export
-// or a fresh solver).
+// build the full buffered CNF in memory, one literal slab (the input to
+// DIMACS export or a DRAT check).
 func BenchmarkEncodeMaterialized(b *testing.B) {
 	in := mustInstance(b, "9symml")
 	g := mustGraph(b, in)

@@ -40,6 +40,31 @@ func ExampleEncodeCSP() {
 	// proper: true
 }
 
+// ExampleCNF_Clause builds a formula and reads it back clause by
+// clause: the clauses sit back to back in one literal slab, and Clause
+// returns a read-only view of one of them in DIMACS convention.
+func ExampleCNF_Clause() {
+	var cnf fpgasat.CNF
+	cnf.AddClause(1, -2)
+	cnf.AddClause(2, 3, -1)
+	for i := range cnf.NumClauses() {
+		fmt.Println(cnf.Clause(i))
+	}
+	fmt.Println(cnf.NumVars, "variables,", cnf.NumLiterals(), "literals")
+	var out strings.Builder
+	if err := fpgasat.WriteCNFDIMACS(&out, &cnf); err != nil {
+		panic(err)
+	}
+	fmt.Print(out.String())
+	// Output:
+	// [1 -2]
+	// [2 3 -1]
+	// 3 variables, 5 literals
+	// p cnf 3 2
+	// 1 -2 0
+	// 2 3 -1 0
+}
+
 // ExampleEncodingByName lists the Boolean variables each paper
 // encoding allocates for a single CSP variable with 13 domain values
 // (the domain size of the paper's Fig. 1).

@@ -50,13 +50,19 @@ func main() {
 	g := graph.Random(rand.New(rand.NewSource(3)), 60, 0.25)
 	k := 7
 	fmt.Printf("\n### Formula sizes for a %d-vertex, %d-edge graph with k=%d\n\n", g.N(), g.M(), k)
-	fmt.Printf("%-24s %8s %9s %11s\n", "encoding", "vars", "clauses", "literals")
+	fmt.Printf("%-24s %8s %9s %8s %11s\n", "encoding", "vars", "clauses", "binary", "literals")
 	for _, name := range core.PaperEncodingNames {
 		enc, err := core.ByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
 		e := core.Encode(core.NewCSP(g, k), enc)
-		fmt.Printf("%-24s %8d %9d %11d\n", name, e.CNF.NumVars, e.CNF.NumClauses(), e.CNF.NumLiterals())
+		binary := 0
+		for i := range e.CNF.NumClauses() {
+			if len(e.CNF.Clause(i)) == 2 {
+				binary++
+			}
+		}
+		fmt.Printf("%-24s %8d %9d %8d %11d\n", name, e.CNF.NumVars, e.CNF.NumClauses(), binary, e.CNF.NumLiterals())
 	}
 }

@@ -64,7 +64,9 @@ type (
 	// Heuristic is a symmetry-breaking heuristic (None, B1, S1, C1).
 	Heuristic = symmetry.Heuristic
 
-	// CNF is a formula in DIMACS literal convention.
+	// CNF is a buffered formula in DIMACS literal convention, its
+	// clauses back to back in one literal slab: AddClause appends one,
+	// NumClauses, NumLiterals and Clause read them.
 	CNF = sat.CNF
 	// SolverOptions configure the CDCL solver, including the Progress
 	// observability callback (invoked with SolverStats snapshots at

@@ -34,6 +34,8 @@ type CNF struct {
 // what it intends to keep. It allocates only when the slab grows, and
 // panics on literal 0 or on a variable beyond the solver's limit.
 func (c *CNF) AddClause(lits ...int) {
+	// Check the whole clause first, so a panic leaves no partial clause
+	// at the end of the slab.
 	for _, l := range lits {
 		if l == 0 {
 			panic("sat: literal 0 in clause")
