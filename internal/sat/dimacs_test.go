@@ -56,8 +56,11 @@ func TestParseDIMACSAllocsDoNotScale(t *testing.T) {
 		}
 		allocs[i] = testing.AllocsPerRun(1, func() {
 			cnf, err := ParseDIMACS(bytes.NewReader(buf.Bytes()))
-			if err != nil || cnf.NumClauses() != clauses {
-				t.Fatalf("parsed %d clauses of %d: %v", cnf.NumClauses(), clauses, err)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cnf.NumClauses() != clauses {
+				t.Fatalf("parsed %d clauses of %d", cnf.NumClauses(), clauses)
 			}
 		})
 	}
@@ -131,8 +134,11 @@ func TestParseDIMACSVariableLimit(t *testing.T) {
 		}
 	}
 	cnf, err := ParseDIMACS(strings.NewReader("p cnf 1 1\n-1073741823 0\n"))
-	if err != nil || cnf.NumVars != maxVars {
-		t.Fatalf("largest variable: NumVars %v, error %v; want %d", cnf, err, maxVars)
+	if err != nil {
+		t.Fatalf("largest variable: %v", err)
+	}
+	if cnf.NumVars != maxVars {
+		t.Fatalf("largest variable: NumVars %d, want %d", cnf.NumVars, maxVars)
 	}
 }
 
