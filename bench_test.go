@@ -441,6 +441,26 @@ func BenchmarkGlobalRouter(b *testing.B) {
 	}
 }
 
+// BenchmarkGlobalRouterLarge routes one 30×30 netlist with
+// unconstrained placement. Its nets span the whole array, so each
+// search's frontier holds hundreds of entries where the registry's
+// hold tens: a frontier that is fast only while small shows here.
+func BenchmarkGlobalRouterLarge(b *testing.B) {
+	nl, err := fpga.Generate("large", fpga.GenParams{
+		Rows: 30, Cols: 30, NumNets: 600, MinPins: 2, MaxPins: 5, Locality: 0, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := fpga.RouteGlobal(nl, fpga.RouteOptions{Capacity: 4, MaxIters: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolverPigeonhole measures the raw CDCL solver on a classic
 // unsatisfiable family.
 func BenchmarkSolverPigeonhole(b *testing.B) {
