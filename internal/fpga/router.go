@@ -1,6 +1,9 @@
 package fpga
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // RouteOptions configure the negotiated-congestion global router.
 // The zero value selects reasonable defaults.
@@ -74,31 +77,38 @@ func RouteGlobal(nl *Netlist, opts RouteOptions) (*GlobalRouting, bool, error) {
 			first += len(sinks)
 			// r.use holds this net's segment use counts while its
 			// subnets are rerouted, and is all zero again afterwards.
+			// A segment's cost is refreshed whenever its use count
+			// moves between 0 and 1 or its occupancy changes.
 			for _, path := range netRoutes {
 				for _, s := range path {
-					r.use[s]++
+					if r.use[s]++; r.use[s] == 1 {
+						r.price(s)
+					}
 				}
 			}
 			for si, sink := range sinks {
 				// Rip up the previous route of this subnet.
 				for _, s := range netRoutes[si] {
-					r.use[s]--
-					if r.use[s] == 0 {
+					if r.use[s]--; r.use[s] == 0 {
 						r.occ[s]--
+						r.price(s)
 					}
 				}
 				path := r.shortestPath(src, arch.PinSeg(sink), netRoutes[si])
 				for _, s := range path {
-					if r.use[s] == 0 {
+					if r.use[s]++; r.use[s] == 1 {
 						r.occ[s]++
+						r.price(s)
 					}
-					r.use[s]++
 				}
 				netRoutes[si] = path
 			}
 			for _, path := range netRoutes {
 				for _, s := range path {
-					r.use[s] = 0
+					if r.use[s] != 0 {
+						r.use[s] = 0
+						r.price(s)
+					}
 				}
 			}
 		}
@@ -115,6 +125,9 @@ func RouteGlobal(nl *Netlist, opts RouteOptions) (*GlobalRouting, bool, error) {
 			break
 		}
 		r.presFac *= opts.PresGrowth
+		for s := range r.seg {
+			r.price(SegID(s))
+		}
 	}
 
 	gr := &GlobalRouting{Netlist: nl, Routes: make([]TwoPinNet, 0, nRoutes)}
@@ -141,7 +154,7 @@ func RouteGlobal(nl *Netlist, opts RouteOptions) (*GlobalRouting, bool, error) {
 type router struct {
 	// The neighbors of segment s are adj[adjStart[s]:adjStart[s+1]].
 	adjStart []int32
-	adj      []SegID
+	adj      []int32
 
 	hist     []float64 // history cost per segment
 	occ      []int     // distinct nets per segment
@@ -149,14 +162,21 @@ type router struct {
 	capacity int
 	presFac  float64
 
-	// dist and prev hold for segment s only while mark[s] is gen
-	// (reached by the current search) or gen+1 (settled by it), so a
-	// new search resets them by advancing gen.
-	dist []float64
-	prev []SegID
-	mark []uint32
-	gen  uint32
+	seg  []segRecord // per segment: its cost and its search state
+	gen  uint32      // the current search's stamp
 	heap frontier
+}
+
+// segRecord keeps what a search reads of one segment in one place.
+// cost is the price of entering the segment, kept current by price.
+// dist and prev hold only while stamp is the router's gen, that is,
+// once the current search has reached the segment, so a new search
+// resets them all by advancing gen.
+type segRecord struct {
+	cost  float64
+	dist  float64
+	prev  int32
+	stamp uint32
 }
 
 func newRouter(arch Arch, opts RouteOptions) *router {
@@ -164,86 +184,99 @@ func newRouter(arch Arch, opts RouteOptions) *router {
 	r := &router{
 		adjStart: make([]int32, n+1),
 		// A segment meets at most three others at each end.
-		adj:      make([]SegID, 0, 6*n),
+		adj:      make([]int32, 0, 6*n),
 		hist:     make([]float64, n),
 		occ:      make([]int, n),
 		use:      make([]int, n),
 		capacity: opts.Capacity,
 		presFac:  opts.PresFac,
-		dist:     make([]float64, n),
-		prev:     make([]SegID, n),
-		mark:     make([]uint32, n),
+		seg:      make([]segRecord, n),
 	}
+	var adj []SegID
 	for s := 0; s < n; s++ {
-		r.adj = arch.appendAdjacent(r.adj, SegID(s))
+		adj = arch.appendAdjacent(adj[:0], SegID(s))
+		for _, t := range adj {
+			r.adj = append(r.adj, int32(t))
+		}
 		r.adjStart[s+1] = int32(len(r.adj))
+		r.price(SegID(s))
 	}
 	return r
 }
 
-// segCost is the price of entering segment s. Segments already used
-// by the net being routed are nearly free: subnets of one net share
-// tracks.
-func (r *router) segCost(s SegID) float64 {
-	if r.use[s] > 0 {
-		return 0.01
+// price refreshes the cost of entering segment s from its inputs: the
+// routed net's use of it, its occupancy and history, and the present
+// congestion factor. Segments already used by the net being routed
+// are nearly free: subnets of one net share tracks.
+func (r *router) price(s SegID) {
+	cost := 0.01
+	if r.use[s] == 0 {
+		cost = 1.0 + r.hist[s]
+		if over := r.occ[s] + 1 - r.capacity; over > 0 {
+			cost += r.presFac * float64(over)
+		}
 	}
-	cost := 1.0 + r.hist[s]
-	if over := r.occ[s] + 1 - r.capacity; over > 0 {
-		cost += r.presFac * float64(over)
-	}
-	return cost
+	r.seg[s].cost = cost
 }
 
 // shortestPath finds a min-cost segment path from src to dst, where
 // cost is charged per segment entered (including src and dst), and
-// writes it over path's storage. The segment graph is connected, so a
-// path always exists.
+// writes it over path's storage, which holds the subnet's previous
+// route or nothing. The segment graph is connected, so a path always
+// exists. Of the paths of least cost it returns the one Dijkstra
+// settles when it breaks ties on (cost, segment id); DESIGN.md
+// ("Global router and its determinism contract") says why the bound
+// and the missing settled mark below cannot change which one.
 func (r *router) shortestPath(src, dst SegID, path []SegID) []SegID {
-	// A segment not reached yet counts as reached at this cost, so a
-	// path costing more is never recorded.
-	const unreached = 1e18
-	r.gen += 2
-	if r.gen < 2 { // wrapped: no stale mark may match the new gen
-		clear(r.mark)
-		r.gen = 2
+	// The previous route, priced now and summed in the order the
+	// search sums, costs at least as much as the path to be found, so
+	// no entry costing more can be settled before dst.
+	bound := math.Inf(1)
+	if len(path) > 0 {
+		bound = 0
+		for _, s := range path {
+			bound += r.seg[s].cost
+		}
 	}
-	reached, settled := r.gen, r.gen+1
-	r.dist[src] = r.segCost(src)
-	r.mark[src] = reached
-	r.heap = append(r.heap[:0], segDist{r.dist[src], src})
+	r.gen++
+	if r.gen == 0 { // wrapped: no stale stamp may match the new gen
+		for i := range r.seg {
+			r.seg[i].stamp = 0
+		}
+		r.gen = 1
+	}
+	gen := r.gen
+	rec := &r.seg[src]
+	rec.dist, rec.stamp = rec.cost, gen
+	r.heap = append(r.heap[:0], segDist{rec.cost, int32(src)})
 	for len(r.heap) > 0 {
 		cur := r.heap.pop()
-		if r.mark[cur.seg] == settled {
+		// A segment's entries are pushed at strictly falling costs and
+		// its last one is popped first, so every later one is stale.
+		// A settled neighbour needs no mark: its distance is at most
+		// cur.dist, below any cost through cur.
+		if cur.dist != r.seg[cur.seg].dist {
 			continue
 		}
-		r.mark[cur.seg] = settled
-		if cur.seg == dst {
+		if cur.seg == int32(dst) {
 			break
 		}
 		for _, nxt := range r.adj[r.adjStart[cur.seg]:r.adjStart[cur.seg+1]] {
-			best := unreached
-			switch r.mark[nxt] {
-			case settled:
+			rec := &r.seg[nxt]
+			nd := cur.dist + rec.cost
+			if nd > bound || rec.stamp == gen && nd >= rec.dist {
 				continue
-			case reached:
-				best = r.dist[nxt]
 			}
-			nd := cur.dist + r.segCost(nxt)
-			if nd < best {
-				r.dist[nxt] = nd
-				r.prev[nxt] = cur.seg
-				r.mark[nxt] = reached
-				r.heap.push(segDist{nd, nxt})
-			}
+			rec.dist, rec.prev, rec.stamp = nd, cur.seg, gen
+			r.heap.push(segDist{nd, nxt})
 		}
 	}
 	// Walk back from dst; a segment this search never reached has no
 	// predecessor.
 	path = path[:0]
-	for s := dst; ; s = r.prev[s] {
+	for s := dst; ; s = SegID(r.seg[s].prev) {
 		path = append(path, s)
-		if s == src || r.mark[s] < reached {
+		if s == src || r.seg[s].stamp != gen {
 			break
 		}
 	}
@@ -257,7 +290,7 @@ func (r *router) shortestPath(src, dst SegID, path []SegID) []SegID {
 // was reached at.
 type segDist struct {
 	dist float64
-	seg  SegID
+	seg  int32
 }
 
 // less orders entries by cost, then segment id. Within one search no
@@ -270,28 +303,31 @@ func (e segDist) less(f segDist) bool {
 	return e.seg < f.seg
 }
 
-// frontier is a binary min-heap of segDist; push and pop sift exactly
-// as container/heap does.
+// frontier is a binary min-heap of segDist. push and pop move a hole
+// through the heap and write the sifted entry once, where it stops.
 type frontier []segDist
 
 func (h *frontier) push(e segDist) {
 	q := append(*h, e)
-	for j := len(q) - 1; j > 0; {
+	j := len(q) - 1
+	for j > 0 {
 		i := (j - 1) / 2
-		if !q[j].less(q[i]) {
+		if !e.less(q[i]) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[j] = q[i]
 		j = i
 	}
+	q[j] = e
 	*h = q
 }
 
 func (h *frontier) pop() segDist {
 	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
+	top, n := q[0], len(q)-1
+	last := q[n]
+	i := 0
+	for {
 		j := 2*i + 1
 		if j >= n {
 			break
@@ -299,12 +335,13 @@ func (h *frontier) pop() segDist {
 		if j2 := j + 1; j2 < n && q[j2].less(q[j]) {
 			j = j2
 		}
-		if !q[j].less(q[i]) {
+		if !q[j].less(last) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[i] = q[j]
 		i = j
 	}
+	q[i] = last
 	*h = q[:n]
-	return q[n]
+	return top
 }
