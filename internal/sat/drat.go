@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -67,7 +68,7 @@ func (p *proofLogger) flush() error {
 // independent of Solver so the certificate check does not trust the
 // code being certified.
 type checker struct {
-	clauses map[int]*chkClause // id -> clause
+	clauses map[int][]int // id -> literals
 	nextID  int
 	// occur[lit] lists the ids of the clauses containing lit, so
 	// propagation revisits a clause only when one of its literals
@@ -76,31 +77,13 @@ type checker struct {
 	// leaves stale ids in both; rup drops them as it meets them.
 	occur map[int][]int
 	units []int
-}
-
-type chkClause struct {
-	lits []int
-	key  string
-}
-
-func clauseKey(lits []int) string {
-	sorted := append([]int(nil), lits...)
-	// insertion sort: clauses are short
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	var sb strings.Builder
-	for _, l := range sorted {
-		fmt.Fprintf(&sb, "%d,", l)
-	}
-	return sb.String()
+	// sorted is remove's buffer for a candidate's sorted literals.
+	sorted []int
 }
 
 func newChecker(cnf *CNF) *checker {
 	c := &checker{
-		clauses: map[int]*chkClause{},
+		clauses: map[int][]int{},
 		occur:   map[int][]int{},
 	}
 	var lits []int
@@ -117,8 +100,7 @@ func newChecker(cnf *CNF) *checker {
 func (c *checker) add(lits []int) int {
 	id := c.nextID
 	c.nextID++
-	cl := &chkClause{lits: append([]int(nil), lits...), key: clauseKey(lits)}
-	c.clauses[id] = cl
+	c.clauses[id] = append([]int(nil), lits...)
 	unit := true
 	for _, l := range lits {
 		c.occur[l] = append(c.occur[l], id)
@@ -130,17 +112,22 @@ func (c *checker) add(lits []int) int {
 	return id
 }
 
-// removeByKey deletes one clause matching the literal multiset; DRAT
-// deletion lines identify clauses by content.
-func (c *checker) removeByKey(lits []int) bool {
-	key := clauseKey(lits)
+// remove deletes one clause whose literals are the same multiset as
+// lits, which it sorts in place; DRAT deletion lines identify clauses
+// by content.
+func (c *checker) remove(lits []int) {
+	slices.Sort(lits)
 	for id, cl := range c.clauses {
-		if cl.key == key {
+		if len(cl) != len(lits) {
+			continue
+		}
+		c.sorted = append(c.sorted[:0], cl...)
+		slices.Sort(c.sorted)
+		if slices.Equal(c.sorted, lits) {
 			delete(c.clauses, id)
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // rup reports whether the clause is derivable by reverse unit
@@ -173,9 +160,9 @@ func (c *checker) rup(lits []int) bool {
 	}
 	// conflict reports whether clause cl is falsified, and assigns its
 	// open literal when it is unit.
-	conflict := func(cl *chkClause) bool {
+	conflict := func(cl []int) bool {
 		open, openCount := 0, 0
-		for _, l := range cl.lits {
+		for _, l := range cl {
 			switch valueOf(l) {
 			case 1:
 				return false
@@ -272,7 +259,7 @@ func CheckDRAT(cnf *CNF, proof io.Reader) error {
 		if del {
 			// Deleting a clause that is not present is tolerated (the
 			// solver may delete a clause it strengthened at add time).
-			c.removeByKey(lits)
+			c.remove(lits)
 			continue
 		}
 		if !c.rup(lits) {

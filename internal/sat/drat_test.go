@@ -120,6 +120,43 @@ func TestDRATRejectsBogusProofs(t *testing.T) {
 	}
 }
 
+// TestDRATDeletionMatchesMultiset checks how a "d" line finds its
+// clause: by the multiset of its literals, in any order, removing one
+// copy, and tolerating a clause that is not there. The lemma 3 is RUP
+// only while (1 3) is in the formula.
+func TestDRATDeletionMatchesMultiset(t *testing.T) {
+	cases := []struct {
+		name  string
+		dup   bool // the formula holds (1 3) twice
+		proof string
+		ok    bool
+	}{
+		{"no deletion", false, "3 0\n0\n", true},
+		{"deleted with literals reordered", false, "d 3 1 0\n3 0\n0\n", false},
+		{"repeated literal removes nothing", false, "d 1 1 3 0\n3 0\n0\n", true},
+		{"missing clause tolerated", false, "d 2 3 0\n3 0\n0\n", true},
+		{"one copy of two removed", true, "d 1 3 0\n3 0\n0\n", true},
+		{"both copies removed", true, "d 1 3 0\nd 3 1 0\n3 0\n0\n", false},
+	}
+	for _, tc := range cases {
+		cnf := &CNF{}
+		cnf.AddClause(1, 3)
+		if tc.dup {
+			cnf.AddClause(1, 3)
+		}
+		cnf.AddClause(-1, 3)
+		cnf.AddClause(1, -3)
+		cnf.AddClause(-1, -3)
+		err := CheckDRAT(cnf, strings.NewReader(tc.proof))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "is not RUP")):
+			t.Errorf("%s: got %v, want the lemma rejected as not RUP", tc.name, err)
+		}
+	}
+}
+
 func TestDRATSatFormulaProofIncomplete(t *testing.T) {
 	cnf := &CNF{}
 	cnf.AddClause(1, 2)
