@@ -81,7 +81,8 @@ func RouteGlobal(nl *Netlist, opts RouteOptions) (*GlobalRouting, bool, error) {
 			// moves between 0 and 1 or its occupancy changes.
 			for _, path := range netRoutes {
 				for _, s := range path {
-					if r.use[s]++; r.use[s] == 1 {
+					r.use[s]++
+					if r.use[s] == 1 {
 						r.price(s)
 					}
 				}
@@ -89,14 +90,16 @@ func RouteGlobal(nl *Netlist, opts RouteOptions) (*GlobalRouting, bool, error) {
 			for si, sink := range sinks {
 				// Rip up the previous route of this subnet.
 				for _, s := range netRoutes[si] {
-					if r.use[s]--; r.use[s] == 0 {
+					r.use[s]--
+					if r.use[s] == 0 {
 						r.occ[s]--
 						r.price(s)
 					}
 				}
 				path := r.shortestPath(src, arch.PinSeg(sink), netRoutes[si])
 				for _, s := range path {
-					if r.use[s]++; r.use[s] == 1 {
+					r.use[s]++
+					if r.use[s] == 1 {
 						r.occ[s]++
 						r.price(s)
 					}
