@@ -172,12 +172,11 @@ type router struct {
 
 // segRecord keeps what a search reads of one segment in one place.
 // cost is the price of entering the segment, kept current by price.
-// dist and prev hold only while stamp is the router's gen, that is,
-// once the current search has reached the segment, so a new search
-// resets them all by advancing gen.
+// prev holds only while stamp is the router's gen, that is, once the
+// current search has reached the segment, so a new search resets every
+// record by advancing gen.
 type segRecord struct {
 	cost  float64
-	dist  float64
 	prev  int32
 	stamp uint32
 }
@@ -226,14 +225,15 @@ func (r *router) price(s SegID) {
 // cost is charged per segment entered (including src and dst), and
 // writes it over path's storage, which holds the subnet's previous
 // route or nothing. The segment graph is connected, so a path always
-// exists. Of the paths of least cost it returns the one Dijkstra
-// settles when it breaks ties on (cost, segment id); DESIGN.md
-// ("Global router and its determinism contract") says why the bound
-// and the missing settled mark below cannot change which one.
+// exists. Of the paths of least cost it returns the one a plain
+// Dijkstra search returns when it pops entries in (cost, segment id)
+// order and keeps the first predecessor it finds; DESIGN.md ("Global
+// router and its determinism contract") says why the bound and
+// stopping at the first reach of dst cannot change which one.
 func (r *router) shortestPath(src, dst SegID, path []SegID) []SegID {
 	// The previous route, priced now and summed in the order the
 	// search sums, costs at least as much as the path to be found, so
-	// no entry costing more can be settled before dst.
+	// no entry costing more can pop before the search reaches dst.
 	bound := math.Inf(1)
 	if len(path) > 0 {
 		bound = 0
@@ -249,28 +249,27 @@ func (r *router) shortestPath(src, dst SegID, path []SegID) []SegID {
 		r.gen = 1
 	}
 	gen := r.gen
-	rec := &r.seg[src]
-	rec.dist, rec.stamp = rec.cost, gen
-	r.heap = append(r.heap[:0], segDist{rec.cost, int32(src)})
-	for len(r.heap) > 0 {
+	r.seg[src].stamp = gen
+	r.heap = append(r.heap[:0], segDist{r.seg[src].cost, int32(src)})
+	// Every way into a segment adds its one entry cost, and entries pop
+	// in order, so the first neighbour to reach a segment reaches it at
+	// its least cost: a reached segment is never pushed again, and its
+	// predecessor is final. So the search stops once it reaches dst.
+	for len(r.heap) > 0 && r.seg[dst].stamp != gen {
 		cur := r.heap.pop()
-		// A segment's entries are pushed at strictly falling costs and
-		// its last one is popped first, so every later one is stale.
-		// A settled neighbour needs no mark: its distance is at most
-		// cur.dist, below any cost through cur.
-		if cur.dist != r.seg[cur.seg].dist {
-			continue
-		}
-		if cur.seg == int32(dst) {
-			break
-		}
 		for _, nxt := range r.adj[r.adjStart[cur.seg]:r.adjStart[cur.seg+1]] {
 			rec := &r.seg[nxt]
-			nd := cur.dist + rec.cost
-			if nd > bound || rec.stamp == gen && nd >= rec.dist {
+			if rec.stamp == gen {
 				continue
 			}
-			rec.dist, rec.prev, rec.stamp = nd, cur.seg, gen
+			nd := cur.dist + rec.cost
+			if nd > bound {
+				continue
+			}
+			rec.prev, rec.stamp = cur.seg, gen
+			if nxt == int32(dst) {
+				break
+			}
 			r.heap.push(segDist{nd, nxt})
 		}
 	}
@@ -297,8 +296,8 @@ type segDist struct {
 }
 
 // less orders entries by cost, then segment id. Within one search no
-// two entries are equal, since a segment is pushed again only at a
-// strictly lower cost, so every heap pops them in the same order.
+// two entries are equal, since a segment is pushed at most once, so
+// every heap pops them in the same order.
 func (e segDist) less(f segDist) bool {
 	if e.dist != f.dist {
 		return e.dist < f.dist
