@@ -531,7 +531,7 @@ func BenchmarkSolverReuse(b *testing.B) {
 	solveOn := func(b *testing.B, solver *sat.Solver) {
 		csp := core.BuildCSP(g, w, s.Symmetry)
 		enc := core.EncodeInto(csp, s.Encoding, sat.SolverSink{S: solver})
-		if st := solver.SolveAssumingContext(context.Background()); st != sat.Sat {
+		if st := solver.Solve(context.Background()); st != sat.Sat {
 			b.Fatal(st)
 		}
 		if _, err := enc.DecodeVerify(solver.Model()); err != nil {

@@ -139,8 +139,8 @@ type (
 	InputError = robust.InputError
 
 	// Solver is the incremental CDCL solver: load or stream clauses,
-	// then Solve / SolveAssuming / SolveAssumingContext repeatedly;
-	// learnt clauses, activity and phases carry over between calls.
+	// then call Solve(ctx, assumptions...) repeatedly; learnt clauses,
+	// activity and phases carry over between calls.
 	Solver = sat.Solver
 	// Lit is a solver literal; convert with LitFromDimacs.
 	Lit = sat.Lit
@@ -307,7 +307,7 @@ func NewSolver(opts SolverOptions) *Solver { return sat.New(opts) }
 func SolverClauseSink(s *Solver) ClauseSink { return sat.SolverSink{S: s} }
 
 // LitFromDimacs converts a DIMACS literal (±variable index) to a
-// solver literal, e.g. for SolveAssuming.
+// solver literal, e.g. for a Solver.Solve assumption.
 func LitFromDimacs(d int) Lit { return sat.LitFromDimacs(d) }
 
 // FindChi measures the chromatic number (exact minimum channel width)

@@ -152,7 +152,7 @@ func TestDistanceIncrementalMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := solver.SolveAssumingContext(context.Background(), assumps...)
+				st := solver.Solve(context.Background(), assumps...)
 				fresh := Encode(NewCSP(g, w), enc)
 				fst, _, err := solveEncoded(fresh)
 				if err != nil {

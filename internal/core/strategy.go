@@ -100,7 +100,7 @@ func (s Strategy) Solve(ctx context.Context, g *graph.Graph, k int, pool *sat.Po
 	res := Solved{Vars: enc.NumVars, Clauses: enc.StructuralClauses + enc.ConflictClauses}
 	encoded := time.Now()
 	res.EncodeTime = encoded.Sub(start)
-	res.Status = solver.SolveAssumingContext(ctx)
+	res.Status = solver.Solve(ctx)
 	res.Stats = solver.Stats
 	var err error
 	if res.Status == sat.Sat {

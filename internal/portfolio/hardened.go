@@ -334,8 +334,9 @@ func runLane(ctx context.Context, g *graph.Graph, k int, s core.Strategy, opts O
 		case attempt >= opts.MaxRetries:
 			return res
 		case base <= 0 && opts.LaneTimeout <= 0:
-			// Unknown without a budget or watchdog means an external
-			// Stop; the identical attempt would just repeat it.
+			// Unknown without a budget, a lane timeout or a cancelled run
+			// can only come from the lane-result failpoint; the identical
+			// attempt would just repeat it.
 			return res
 		}
 		if opts.Metrics != nil {

@@ -185,18 +185,17 @@ func SolveCNFReusing(ctx context.Context, pool *Pool, c *CNF, opts Options) Resu
 }
 
 // solveCNFOn loads the formula into s and solves it under ctx.
-// SolveAssumingContext joins its cancellation watcher before returning,
-// so a late Stop can never land on a solver that has already been
-// handed to another solve (essential once solvers are pooled).
 func solveCNFOn(s *Solver, ctx context.Context, c *CNF) Result {
 	if !s.Load(c) {
 		// Refuted during loading (conflicting units at level 0). Solve
 		// on the refuted database is a cheap no-op that still closes
 		// the DRAT proof with the empty clause — returning Unsat here
-		// directly would leave a proof that derives nothing.
-		return Result{Status: s.Solve(), Stats: s.Stats}
+		// directly would leave a proof that derives nothing. It runs
+		// under a background context so that a cancelled ctx cannot
+		// skip the proof's last line.
+		return Result{Status: s.Solve(context.Background()), Stats: s.Stats}
 	}
-	st := s.SolveAssumingContext(ctx)
+	st := s.Solve(ctx)
 	res := Result{Status: st, Stats: s.Stats}
 	if st == Sat {
 		m := s.Model()

@@ -16,7 +16,7 @@ func solveWithProof(t *testing.T, cnf *CNF) (Status, *bytes.Buffer) {
 	var proof bytes.Buffer
 	s := New(Options{ProofWriter: &proof})
 	s.Load(cnf)
-	st := s.Solve()
+	st := s.Solve(context.Background())
 	if err := s.ProofError(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDRATWithReduceDB(t *testing.T) {
 	var proof bytes.Buffer
 	s := New(Options{ProofWriter: &proof, LearntLimit: 60})
 	s.Load(cnf)
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("%v", st)
 	}
 	if err := s.ProofError(); err != nil {
@@ -198,7 +198,7 @@ func TestDRATGraphColoringCertificate(t *testing.T) {
 
 // TestDRATLoadTimeUnsatProofCloses: a formula refuted while loading
 // (conflicting unit clauses, zero search conflicts) must still produce
-// a checkable proof — solveCNFOn used to return Unsat before Solve()
+// a checkable proof — solveCNFOn used to return Unsat before Solve
 // could log the closing empty clause, leaving an empty proof that
 // CheckDRAT rejects.
 func TestDRATLoadTimeUnsatProofCloses(t *testing.T) {
@@ -236,7 +236,7 @@ func TestDRATTruncatedByBudget(t *testing.T) {
 	cnf := php(10, 9)
 	s := New(Options{ProofWriter: &proof, ConflictBudget: 50})
 	s.Load(cnf)
-	if st := s.Solve(); st != Unknown {
+	if st := s.Solve(context.Background()); st != Unknown {
 		t.Skipf("instance solved within budget: %v", st)
 	}
 	if err := s.ProofError(); err != nil {
@@ -270,7 +270,7 @@ var errFail = fmt.Errorf("simulated write failure")
 func TestProofWriterFailureSurfaces(t *testing.T) {
 	s := New(Options{ProofWriter: &failWriter{left: 8}})
 	s.Load(php(6, 5))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("%v", st)
 	}
 	if err := s.ProofError(); err == nil {

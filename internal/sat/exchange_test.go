@@ -2,6 +2,7 @@ package sat
 
 import (
 	"bytes"
+	"context"
 	"slices"
 	"testing"
 )
@@ -38,7 +39,7 @@ func TestExchangeLearntOffersAndRestartRounds(t *testing.T) {
 	f := &fakeExchange{}
 	s := New(Options{RestartBase: 1, Exchange: f})
 	loadPHPInto(s, 7, 6)
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("PHP(7,6): got %v, want Unsat", st)
 	}
 	if f.offered == 0 {
@@ -68,7 +69,7 @@ func TestTrustedImportRefutation(t *testing.T) {
 	}
 	s := New(Options{RestartBase: 1, Exchange: f})
 	loadPHPInto(s, 7, 6)
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
 	if f.rounds != 1 {
@@ -100,7 +101,7 @@ func TestImportRejectsForeignAndSatisfied(t *testing.T) {
 	}
 	s := New(Options{RestartBase: 1, Exchange: f})
 	loadPHPInto(s, 7, 6)
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
 }
@@ -131,7 +132,7 @@ func TestProofModeRUPGateKeepsCertificateValid(t *testing.T) {
 	}
 	s := New(Options{RestartBase: 1, ProofWriter: &proof, Exchange: f})
 	loadPHPInto(s, 7, 6)
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
 	if s.Stats.Imported == 0 {
@@ -180,7 +181,7 @@ func TestImportedBinaryJoinsImplicationLists(t *testing.T) {
 		}
 		s = New(opts)
 		loadPHPInto(s, 7, 6)
-		if st := s.Solve(); st != Unsat {
+		if st := s.Solve(context.Background()); st != Unsat {
 			t.Fatalf("proof mode %v: got %v, want Unsat", proofMode, st)
 		}
 		if s.Stats.Imported != 1 {
@@ -203,7 +204,7 @@ func TestSeedDiversifiesAndReplays(t *testing.T) {
 	run := func(seed int64) Stats {
 		s := New(Options{Seed: seed})
 		loadPHPInto(s, 7, 6)
-		if st := s.Solve(); st != Unsat {
+		if st := s.Solve(context.Background()); st != Unsat {
 			t.Fatalf("seed %d: got %v, want Unsat", seed, st)
 		}
 		return s.Stats
@@ -217,7 +218,7 @@ func TestSeedDiversifiesAndReplays(t *testing.T) {
 	}
 	base := New(Options{})
 	loadPHPInto(base, 7, 6)
-	if st := base.Solve(); st != Unsat {
+	if st := base.Solve(context.Background()); st != Unsat {
 		t.Fatalf("unseeded: got %v, want Unsat", st)
 	}
 	if base.Stats == a && base.Stats == b {

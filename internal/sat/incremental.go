@@ -1,7 +1,5 @@
 package sat
 
-import "context"
-
 // This file is the incremental interface of the solver, in the style of
 // the MiniSat "solve under assumptions" API (Eén & Sörensson): a single
 // Solver instance answers a sequence of queries that share one clause
@@ -12,7 +10,7 @@ import "context"
 // lists stay attached across calls, and new clauses are simplified
 // against the level-0 trail exactly as during initial construction.
 //
-// Assumptions are temporary unit constraints: SolveAssuming(a1, ..., an)
+// Assumptions are temporary unit constraints: Solve(ctx, a1, ..., an)
 // decides satisfiability of the clause database conjoined with the
 // assumption literals, without adding them as clauses. Internally each
 // assumption occupies one decision level below all search decisions, so
@@ -40,57 +38,6 @@ import "context"
 // Unsat therefore yields one contiguous, checkable DRAT refutation (see
 // TestIncrementalDRAT).
 
-// SolveAssuming solves the current clause database under the given
-// assumption literals. It may be called repeatedly, interleaved with
-// AddClause, on one Solver; state from earlier calls (learnt clauses,
-// activity, phases, statistics) is retained. Unlike Solve, it clears
-// any pending Stop so that a cancelled earlier call does not poison
-// later ones; use SolveAssumingContext for per-call cancellation.
-//
-// After Sat, Model holds an assignment satisfying the database and all
-// assumptions. After Unsat, FailedAssumptions reports which assumptions
-// (if any) were to blame.
-func (s *Solver) SolveAssuming(assumps ...Lit) Status {
-	s.stopped.Store(false)
-	return s.solveWith(assumps)
-}
-
-// SolveAssumingContext is SolveAssuming with context-based
-// cancellation: the solve returns Unknown promptly once ctx is
-// cancelled or its deadline passes. The cancellation applies to this
-// call only; the solver remains usable for further incremental calls.
-func (s *Solver) SolveAssumingContext(ctx context.Context, assumps ...Lit) Status {
-	s.stopped.Store(false)
-	if ctx.Err() != nil {
-		return Unknown
-	}
-	if ctx.Done() == nil {
-		return s.solveWith(assumps)
-	}
-	// The watcher is joined before returning: if it ran at all, its
-	// Stop lands before this call returns, never inside a later solve
-	// on the same Solver. (With a plain `defer close(done)` the watcher
-	// can wake after the caller has cancelled ctx, see both channels
-	// ready, pick ctx.Done() at random and poison the next call.)
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		select {
-		case <-ctx.Done():
-			s.Stop()
-		case <-done:
-		}
-	}()
-	// Deferred so the watcher is joined even when the solve panics and
-	// the panic unwinds through a recover boundary.
-	defer func() {
-		close(done)
-		<-exited
-	}()
-	return s.solveWith(assumps)
-}
-
 // FailedAssumptions returns the failed-assumption core of the last
 // Unsat answer: a subset of the assumptions passed to the last solve
 // call that is inconsistent with the clause database. A nil result
@@ -100,7 +47,7 @@ func (s *Solver) FailedAssumptions() []Lit { return s.conflictCore }
 
 // NumLearnts returns the current learnt-clause database size, binary
 // ones included — the clauses an incremental caller reuses across
-// SolveAssuming calls.
+// Solve calls.
 func (s *Solver) NumLearnts() int { return len(s.learnts) + s.binLearnts }
 
 // analyzeFinal computes the failed-assumption core when assumption p is

@@ -16,10 +16,10 @@ func TestSolveAssumingBasic(t *testing.T) {
 	// (x1 ∨ x2) ∧ (¬x1 ∨ x3)
 	s.AddDimacsClause(1, 2)
 	s.AddDimacsClause(-1, 3)
-	if st := s.SolveAssuming(); st != Sat {
+	if st := s.Solve(context.Background()); st != Sat {
 		t.Fatalf("unconstrained: got %v, want Sat", st)
 	}
-	if st := s.SolveAssuming(lit(1), lit(-3)); st != Unsat {
+	if st := s.Solve(context.Background(), lit(1), lit(-3)); st != Unsat {
 		t.Fatalf("x1 ∧ ¬x3: got %v, want Unsat", st)
 	}
 	core := s.FailedAssumptions()
@@ -27,7 +27,7 @@ func TestSolveAssumingBasic(t *testing.T) {
 		t.Fatal("assumption Unsat with nil core")
 	}
 	// The same solver answers Sat again with compatible assumptions.
-	if st := s.SolveAssuming(lit(1), lit(3)); st != Sat {
+	if st := s.Solve(context.Background(), lit(1), lit(3)); st != Sat {
 		t.Fatalf("x1 ∧ x3: got %v, want Sat", st)
 	}
 	m := s.Model()
@@ -39,7 +39,7 @@ func TestSolveAssumingBasic(t *testing.T) {
 func TestSolveAssumingContradictoryAssumptions(t *testing.T) {
 	s := New(Options{})
 	s.AddDimacsClause(1, 2)
-	if st := s.SolveAssuming(lit(3), lit(-3)); st != Unsat {
+	if st := s.Solve(context.Background(), lit(3), lit(-3)); st != Unsat {
 		t.Fatalf("got %v, want Unsat for x3 ∧ ¬x3", st)
 	}
 	core := s.FailedAssumptions()
@@ -56,7 +56,7 @@ func TestSolveAssumingLevelZeroFalse(t *testing.T) {
 	s := New(Options{})
 	s.AddDimacsClause(-1) // unit: x1 false
 	s.AddDimacsClause(2, 3)
-	if st := s.SolveAssuming(lit(1)); st != Unsat {
+	if st := s.Solve(context.Background(), lit(1)); st != Unsat {
 		t.Fatalf("got %v, want Unsat when assuming a level-0-false literal", st)
 	}
 	core := s.FailedAssumptions()
@@ -64,7 +64,7 @@ func TestSolveAssumingLevelZeroFalse(t *testing.T) {
 		t.Fatalf("core %v, want [x1]", core)
 	}
 	// The database itself stays satisfiable.
-	if st := s.SolveAssuming(); st != Sat {
+	if st := s.Solve(context.Background()); st != Sat {
 		t.Fatalf("got %v, want Sat without assumptions", st)
 	}
 }
@@ -75,7 +75,7 @@ func TestSolveAssumingCoreIsSubset(t *testing.T) {
 	// irrelevant and must not pollute the core.
 	s.AddDimacsClause(-1, 2)
 	s.AddDimacsClause(-2, 3)
-	if st := s.SolveAssuming(lit(5), lit(1), lit(-3)); st != Unsat {
+	if st := s.Solve(context.Background(), lit(5), lit(1), lit(-3)); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
 	for _, l := range s.FailedAssumptions() {
@@ -88,28 +88,28 @@ func TestSolveAssumingCoreIsSubset(t *testing.T) {
 func TestAddClausesBetweenSolves(t *testing.T) {
 	s := New(Options{})
 	s.AddDimacsClause(1, 2)
-	if st := s.SolveAssuming(); st != Sat {
+	if st := s.Solve(context.Background()); st != Sat {
 		t.Fatal("expected Sat")
 	}
 	// Tighten the formula between calls: force ¬x1 then ¬x2.
 	if !s.AddDimacsClause(-1) {
 		t.Fatal("adding ¬x1 should keep the formula consistent")
 	}
-	if st := s.SolveAssuming(); st != Sat {
+	if st := s.Solve(context.Background()); st != Sat {
 		t.Fatal("expected Sat after ¬x1")
 	}
 	if m := s.Model(); m[0] || !m[1] {
 		t.Fatalf("model %v, want ¬x1 ∧ x2", m)
 	}
 	s.AddDimacsClause(-2)
-	if st := s.SolveAssuming(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatal("expected Unsat after ¬x1 ∧ ¬x2")
 	}
 	if s.FailedAssumptions() != nil {
 		t.Fatalf("genuine Unsat must have nil core, got %v", s.FailedAssumptions())
 	}
 	// Poisoned database: every further call answers Unsat.
-	if st := s.SolveAssuming(lit(3)); st != Unsat {
+	if st := s.Solve(context.Background(), lit(3)); st != Unsat {
 		t.Fatal("poisoned solver must stay Unsat")
 	}
 }
@@ -118,7 +118,7 @@ func TestSolveAssumingFreshVariables(t *testing.T) {
 	s := New(Options{})
 	s.AddDimacsClause(1, 2)
 	// Assume over a variable the solver has never seen.
-	if st := s.SolveAssuming(lit(-9)); st != Sat {
+	if st := s.Solve(context.Background(), lit(-9)); st != Sat {
 		t.Fatalf("got %v, want Sat", st)
 	}
 	if m := s.Model(); len(m) < 9 || m[8] {
@@ -142,7 +142,7 @@ func TestSolveAssumingAgainstBruteForce(t *testing.T) {
 				clauses = vars * 5 / 2
 			}
 			cnf := randomCNF(rng, vars, clauses, k)
-			s := New(Options{DisableMinimize: round%2 == 0})
+			s := New(Options{})
 			if !s.Load(cnf) {
 				continue // trivially unsat at load time
 			}
@@ -164,7 +164,7 @@ func TestSolveAssumingAgainstBruteForce(t *testing.T) {
 					ref.AddClause(d)
 				}
 				want, _ := BruteForce(ref)
-				got := s.SolveAssuming(assumps...)
+				got := s.Solve(context.Background(), assumps...)
 				if got != want {
 					t.Fatalf("k=%d round %d probe %d assumps %v: incremental %v, brute force %v",
 						k, round, probe, assumps, got, want)
@@ -195,7 +195,7 @@ func TestSolveAssumingAgainstBruteForce(t *testing.T) {
 }
 
 // TestIncrementalLearntReuse verifies that learnt clauses survive
-// across SolveAssuming calls — the property the incremental width
+// across assumption solves — the property the incremental width
 // search relies on.
 func TestIncrementalLearntReuse(t *testing.T) {
 	cnf := php(8, 7)
@@ -205,7 +205,7 @@ func TestIncrementalLearntReuse(t *testing.T) {
 	}
 	// A selector-guarded probe first: the guard variable is free, so
 	// the instance stays Unsat (php is unsat on its own).
-	if st := s.SolveAssuming(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
 	if s.NumLearnts() == 0 && s.Stats.Learnt == 0 {
@@ -221,37 +221,32 @@ func TestSolveAssumingContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if st := s.SolveAssumingContext(ctx); st != Unknown {
+	if st := s.Solve(ctx); st != Unknown {
 		t.Skipf("instance solved before the deadline (%v); cannot exercise cancellation", st)
 	}
 	// The solver must remain usable: a later call with a fresh context
-	// is not poisoned by the earlier Stop.
+	// is not poisoned by the earlier cancellation.
 	s2ctx := context.Background()
-	if st := s.SolveAssumingContext(s2ctx, lit(1)); st == Unknown {
+	if st := s.Solve(s2ctx, lit(1)); st == Unknown {
 		t.Fatal("solver stayed cancelled after an expired context")
 	}
 }
 
-// TestSolveAssumingContextStopDoesNotLeak pins the watcher-join
-// semantics: once SolveAssumingContext returns, cancelling its context
-// must never Stop the solver. (A watcher that outlives the call can
-// wake after the caller's deferred cancel, see both its channels
-// ready, pick ctx.Done() at random and silently kill the *next*
-// incremental solve — observed as spurious Unknown probes in the
-// width search under scheduler load.)
+// TestSolveAssumingContextStopDoesNotLeak pins that a call's context
+// ends with the call: once Solve returns, cancelling its context must
+// not reach the solver's next call. (A cancellation that outlives its
+// call silently kills the *next* incremental solve — once observed as
+// spurious Unknown probes in the width search under scheduler load.)
 func TestSolveAssumingContextStopDoesNotLeak(t *testing.T) {
 	s := New(Options{})
 	s.AddDimacsClause(1, 2)
 	for i := 0; i < 1000; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		if st := s.SolveAssumingContext(ctx, lit(1)); st != Sat {
-			t.Fatalf("iter %d: got %v, want Sat", i, st)
+		if st := s.Solve(ctx, lit(1)); st != Sat {
+			t.Fatalf("iter %d: got %v, want Sat (the previous call's cancelled context reached this one)", i, st)
 		}
 		cancel()
 		runtime.Gosched()
-		if s.stopped.Load() {
-			t.Fatalf("iter %d: a stale context watcher stopped the solver after its call returned", i)
-		}
 	}
 }
 
@@ -260,11 +255,36 @@ func TestSolveAssumingAlreadyCancelledContext(t *testing.T) {
 	s.AddDimacsClause(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if st := s.SolveAssumingContext(ctx); st != Unknown {
+	if st := s.Solve(ctx); st != Unknown {
 		t.Fatalf("got %v, want Unknown for a cancelled context", st)
 	}
-	if st := s.SolveAssumingContext(context.Background()); st != Sat {
+	if st := s.Solve(context.Background()); st != Sat {
 		t.Fatalf("got %v, want Sat on retry", st)
+	}
+}
+
+// TestSolveStartsNoGoroutine pins that a cancellable solve watches its
+// context from the solving goroutine itself: by the first Progress
+// call no goroutine has been started beside it.
+func TestSolveStartsNoGoroutine(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	during := -1
+	s := New(Options{Progress: func(Stats) {
+		if during < 0 {
+			during = runtime.NumGoroutine()
+		}
+	}})
+	s.Load(php(7, 6))
+	before := runtime.NumGoroutine()
+	if st := s.Solve(ctx); st != Unsat {
+		t.Fatalf("got %v, want Unsat", st)
+	}
+	if during < 0 {
+		t.Fatal("Progress never fired")
+	}
+	if during > before {
+		t.Fatalf("%d goroutines during the solve, %d before it", during, before)
 	}
 }
 
@@ -291,19 +311,19 @@ func TestIncrementalDRAT(t *testing.T) {
 	if !s.Load(guarded) {
 		t.Fatal("unexpected trivial unsat")
 	}
-	if st := s.SolveAssuming(lit(sel)); st != Unsat {
+	if st := s.Solve(context.Background(), lit(sel)); st != Unsat {
 		t.Fatalf("guarded probe: got %v, want Unsat", st)
 	}
 	if s.FailedAssumptions() == nil {
 		t.Fatal("guarded probe must blame the selector assumption")
 	}
-	if st := s.SolveAssuming(lit(-sel)); st != Sat {
+	if st := s.Solve(context.Background(), lit(-sel)); st != Sat {
 		t.Fatalf("relaxed probe: got %v, want Sat", st)
 	}
 	// Now make the selector permanent: the database becomes genuinely
 	// unsatisfiable and the proof must close with the empty clause.
 	s.AddDimacsClause(sel)
-	if st := s.SolveAssuming(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatal("expected genuine Unsat after asserting the selector")
 	}
 	if s.FailedAssumptions() != nil {
@@ -329,14 +349,14 @@ func TestSolveAssumingConflictBudgetPerCall(t *testing.T) {
 	if !s.Load(cnf) {
 		t.Fatal("unexpected trivial unsat")
 	}
-	first := s.SolveAssuming()
+	first := s.Solve(context.Background())
 	if first != Unknown {
 		t.Skipf("php(9,8) solved within 5 conflicts (%v)?", first)
 	}
 	// The budget is per call, not lifetime: a second call gets its own
 	// 5 conflicts instead of returning immediately.
 	before := s.Stats.Conflicts
-	if st := s.SolveAssuming(); st != Unknown {
+	if st := s.Solve(context.Background()); st != Unknown {
 		t.Skipf("unexpectedly solved on second budgeted call (%v)", st)
 	}
 	if s.Stats.Conflicts <= before {

@@ -12,10 +12,8 @@ import (
 // instead of re-growing a fresh Solver from zero each time.
 //
 // The zero value is ready to use. Get hands out a solver configured
-// for the given options; Put returns it once no solve is running and
-// no other goroutine can still call Stop on it (join any cancellation
-// watcher first — see SolveAssumingContext for the pattern). A nil
-// *Pool is valid too: Get builds a fresh solver and Put drops it.
+// for the given options; Put returns it once no solve is running. A
+// nil *Pool is valid too: Get builds a fresh solver and Put drops it.
 type Pool struct {
 	// MaxRetainedWords caps the footprint a solver may retain to be
 	// pooled: a solver whose clause-arena capacity plus watch-list
@@ -66,8 +64,7 @@ func (p *Pool) Get(opts Options) *Solver {
 // statistics into the pool's counters. A solver whose retained
 // footprint exceeds MaxRetainedWords is dropped (counted in
 // PoolStats.Oversized) rather than pooled. The caller must not use the
-// solver afterwards, and no goroutine may still hold a Stop reference
-// to it.
+// solver afterwards.
 func (p *Pool) Put(s *Solver) {
 	if p == nil || s == nil {
 		return

@@ -22,7 +22,7 @@ func TestResetSolvesIndependentProblems(t *testing.T) {
 		want := SolveCNFContext(context.Background(), cnf, Options{})
 		got := Unsat
 		if s.Load(cnf) {
-			got = s.Solve()
+			got = s.Solve(context.Background())
 		}
 		if got != want.Status {
 			t.Fatalf("trial %d: reused solver says %v, fresh solver says %v", trial, got, want.Status)
@@ -42,14 +42,14 @@ func TestResetSolvesIndependentProblems(t *testing.T) {
 func TestResetAfterUnsat(t *testing.T) {
 	s := New(Options{})
 	s.Load(php(6, 5))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("php(6,5) = %v, want Unsat", st)
 	}
 	s.Reset(Options{})
 	if !s.AddDimacsClause(1) || !s.AddDimacsClause(-1, 2) {
 		t.Fatal("AddDimacsClause failed after Reset")
 	}
-	if st := s.Solve(); st != Sat {
+	if st := s.Solve(context.Background()); st != Sat {
 		t.Fatalf("trivially satisfiable formula after Reset = %v, want Sat", st)
 	}
 	if m := s.Model(); !m[0] || !m[1] {
@@ -62,7 +62,7 @@ func TestResetAfterUnsat(t *testing.T) {
 func TestResetRetainsCapacity(t *testing.T) {
 	s := New(Options{})
 	s.Load(php(8, 7))
-	s.Solve()
+	s.Solve(context.Background())
 	before := s.ArenaStats()
 	if before.CapWords == 0 {
 		t.Fatal("no arena capacity after a solve")
@@ -80,7 +80,7 @@ func TestResetRetainsCapacity(t *testing.T) {
 	}
 	// The retained capacity must actually be reusable.
 	s.Load(php(8, 7))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("php(8,7) after Reset = %v, want Unsat", st)
 	}
 }
@@ -205,7 +205,7 @@ func TestResetReusesImplicationLists(t *testing.T) {
 				t.Fatalf("trial %d: new list of literal %d holds %d entries in a capacity of %d", trial, l, sp.n, sp.cap)
 			}
 		}
-		got, want := s.Solve(), fresh.Solve()
+		got, want := s.Solve(context.Background()), fresh.Solve(context.Background())
 		verdicts[got]++
 		if got != want || s.Stats != fresh.Stats {
 			t.Fatalf("trial %d: reused solver says %v after %d conflicts, fresh solver %v after %d",
@@ -221,7 +221,7 @@ func TestResetReusesImplicationLists(t *testing.T) {
 }
 
 // TestCarvedListsOverflow: learnt binaries and binary clauses added
-// between SolveAssuming calls append past the slots a census carved,
+// between assumption solves append past the slots a census carved,
 // which moves those lists to storage of their own. The solver must
 // search exactly as one whose lists grew by append alone.
 func TestCarvedListsOverflow(t *testing.T) {
@@ -242,7 +242,7 @@ func TestCarvedListsOverflow(t *testing.T) {
 		lit := func() Lit { return MkLit(Var(rng.Intn(cnf.NumVars)), rng.Intn(2) == 0) }
 		for round := 0; round < 4; round++ {
 			assumps := []Lit{lit(), lit()}
-			got, want := carved.SolveAssuming(assumps...), grown.SolveAssuming(assumps...)
+			got, want := carved.Solve(context.Background(), assumps...), grown.Solve(context.Background(), assumps...)
 			if got != want || carved.Stats != grown.Stats {
 				t.Fatalf("trial %d round %d: carved lists give %v after %d conflicts, appended lists %v after %d",
 					trial, round, got, carved.Stats.Conflicts, want, grown.Stats.Conflicts)
@@ -333,7 +333,7 @@ func TestCensusKeepsExistingLists(t *testing.T) {
 				}
 				kept += len(qs)
 			}
-			got, want := s.Solve(), appended.Solve()
+			got, want := s.Solve(context.Background()), appended.Solve(context.Background())
 			if got != want || s.Stats != appended.Stats {
 				t.Fatalf("trial %d %s: the solver says %v after %d conflicts, one fed by AddClause %v after %d",
 					trial, p.name, got, s.Stats.Conflicts, want, appended.Stats.Conflicts)
@@ -351,7 +351,7 @@ func TestCensusKeepsExistingLists(t *testing.T) {
 // TestOverflowKeepsCensusSlab: binary clauses added between solves move
 // the lists they overflow, and only those lists. A 2-CNF of 100,000
 // clauses loads into carved slots; ten more binary clauses, each added
-// between SolveAssuming calls, may grow the retained list footprint by
+// between assumption solves, may grow the retained list footprint by
 // the moved lists, under 1%, never by a second copy of every slot.
 func TestOverflowKeepsCensusSlab(t *testing.T) {
 	const vars = 20000
@@ -376,13 +376,13 @@ func TestOverflowKeepsCensusSlab(t *testing.T) {
 	_, slots := ImplicationLists(s)
 	loaded := s.ArenaStats().WatchCapWords
 	for i := 0; i < 10; i++ {
-		if st := s.SolveAssuming(); st != Sat {
+		if st := s.Solve(context.Background()); st != Sat {
 			t.Fatalf("round %d: %v, want Sat", i, st)
 		}
 		a, b := pair()
 		s.AddDimacsClause(a, b)
 	}
-	if st := s.SolveAssuming(); st != Sat {
+	if st := s.Solve(context.Background()); st != Sat {
 		t.Fatalf("final solve: %v, want Sat", st)
 	}
 	moved := 0
@@ -426,7 +426,7 @@ func TestArenaStatsCountsRetainedLists(t *testing.T) {
 func TestGarbageCollection(t *testing.T) {
 	s := New(Options{LearntLimit: 300})
 	s.Load(php(9, 8))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("php(9,8) = %v, want Unsat", st)
 	}
 	st := s.ArenaStats()
@@ -446,14 +446,14 @@ func TestGarbageCollection(t *testing.T) {
 func TestDRATAcrossReset(t *testing.T) {
 	s := New(Options{})
 	s.Load(php(6, 5))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("first solve = %v, want Unsat", st)
 	}
 	var proof bytes.Buffer
 	s.Reset(Options{ProofWriter: &proof, LearntLimit: 200})
 	cnf := php(8, 7)
 	s.Load(cnf)
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("second solve = %v, want Unsat", st)
 	}
 	if err := s.ProofError(); err != nil {
@@ -511,7 +511,7 @@ func TestNilPoolBuildsFreshSolvers(t *testing.T) {
 	var pool *Pool
 	s := pool.Get(Options{})
 	s.Load(php(6, 5))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("php(6,5) = %v, want Unsat", st)
 	}
 	pool.Put(s)
@@ -528,7 +528,7 @@ func TestPoolDropsOversizedSolvers(t *testing.T) {
 	capped := Pool{MaxRetainedWords: 64}
 	s := capped.Get(Options{})
 	s.Load(php(6, 5))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("php(6,5) = %v, want Unsat", st)
 	}
 	if st := s.ArenaStats(); st.CapWords+st.WatchCapWords <= 64 {
@@ -546,7 +546,7 @@ func TestPoolDropsOversizedSolvers(t *testing.T) {
 	uncapped := Pool{MaxRetainedWords: -1}
 	s2 := uncapped.Get(Options{})
 	s2.Load(php(6, 5))
-	if st := s2.Solve(); st != Unsat {
+	if st := s2.Solve(context.Background()); st != Unsat {
 		t.Fatalf("php(6,5) = %v, want Unsat", st)
 	}
 	uncapped.Put(s2)

@@ -1,11 +1,11 @@
 package sat
 
 import (
+	"context"
 	"io"
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // watch pairs a watched arena clause with a blocker literal: if the
@@ -41,15 +41,6 @@ type Options struct {
 	// ConflictBudget, when positive, bounds the number of conflicts
 	// before Solve returns Unknown.
 	ConflictBudget int64
-	// InitialPhase is the first branching polarity for every variable
-	// (false, the default, branches negative first like MiniSat).
-	InitialPhase bool
-	// DisableMinimize turns off conflict-clause minimization
-	// (used by tests to exercise both analyze paths).
-	DisableMinimize bool
-	// DisablePhaseSaving makes every decision use InitialPhase instead
-	// of the last assigned polarity.
-	DisablePhaseSaving bool
 	// VarDecay is the VSIDS decay factor in (0,1); 0 selects the
 	// default 0.95. Larger values keep activity longer (slower focus
 	// shifts); smaller values chase recent conflicts harder.
@@ -77,14 +68,15 @@ type Options struct {
 	// propagations, whichever comes first), so that long conflict-free
 	// propagation phases remain visible. The callback runs on the
 	// solving goroutine and must return promptly; it must not call back
-	// into the Solver except for Stop.
+	// into the Solver. It may cancel the solve's context, which the
+	// solve notices before its next decision.
 	Progress func(Stats)
 	// Seed, when non-zero, diversifies the search trajectory: initial
 	// branching polarities and a tiny variable-activity jitter are drawn
 	// from the seed, so identically configured solvers on the same
 	// formula explore different parts of the search space. Runs with the
 	// same seed are replayable. Seed 0 keeps the deterministic MiniSat
-	// defaults (InitialPhase everywhere, zero initial activity).
+	// defaults (negative initial phase everywhere, zero initial activity).
 	Seed int64
 	// Exchange, when non-nil, connects the solver to a learnt-clause
 	// exchange (see internal/share): learnt clauses are offered as they
@@ -128,8 +120,8 @@ func Profiles() []Profile {
 // capacity, so one Solver can serve many solves without re-paying its
 // allocations.
 //
-// A Solver is not safe for concurrent use, with one exception: Stop may
-// be called from another goroutine to cancel a running Solve.
+// A Solver is not safe for concurrent use. A running Solve is cancelled
+// through its context.
 type Solver struct {
 	opts Options
 
@@ -177,9 +169,11 @@ type Solver struct {
 	proofBuf  []Lit
 	importBuf []Lit
 
-	ok      bool // false once an empty clause is derived at level 0
-	stopped atomic.Bool
-	proof   *proofLogger
+	ok    bool // false once an empty clause is derived at level 0
+	proof *proofLogger
+	// done is the Done channel of the running solve's context, nil
+	// between solves and for a context that cannot be cancelled.
+	done <-chan struct{}
 
 	// Incremental-solve state: the assumptions of the current solve
 	// call (one per decision level below all search decisions), the
@@ -192,13 +186,12 @@ type Solver struct {
 	conflictBase int64
 
 	// Next Stats.Decisions / Stats.Propagations values at which search
-	// polls stopped and fires the Progress callback.
+	// checks for cancellation and fires the Progress callback.
 	pollDecisions    int64
 	pollPropagations int64
 
-	model  []bool
-	resets int64
-	Stats  Stats
+	model []bool
+	Stats Stats
 }
 
 // Default VSIDS and clause-activity decay factors (MiniSat values).
@@ -208,7 +201,7 @@ const (
 	defaultRestartBase = 100 // conflicts per Luby unit
 )
 
-// In-search polling intervals: stopped is checked (and Progress fired)
+// In-search polling intervals: cancellation is checked (and Progress fired)
 // after this many decisions or propagations, whichever comes first, in
 // addition to the per-1024-conflicts check. The decision interval
 // bounds cancellation latency on conflict-free searches, where neither
@@ -223,7 +216,7 @@ const (
 func New(opts Options) *Solver {
 	s := &Solver{}
 	s.order = newVarHeap(&s.activity)
-	s.reset(opts)
+	s.Reset(opts)
 	return s
 }
 
@@ -234,15 +227,6 @@ func New(opts Options) *Solver {
 // according to opts.ProofWriter; statistics start from zero. Reset
 // must not be called while a solve is running.
 func (s *Solver) Reset(opts Options) {
-	s.reset(opts)
-	s.resets++
-}
-
-// Resets returns how many times the solver has been Reset — how many
-// problems beyond the first this instance has been reused for.
-func (s *Solver) Resets() int64 { return s.resets }
-
-func (s *Solver) reset(opts Options) {
 	s.opts = opts
 	s.ca.reset()
 	s.clauses = s.clauses[:0]
@@ -269,7 +253,6 @@ func (s *Solver) reset(opts Options) {
 	// lbdStamp/lbdGen survive: stamps are generation-checked, and the
 	// generation counter only ever grows, so stale stamps never match.
 	s.ok = true
-	s.stopped.Store(false)
 	s.proof = nil
 	if opts.ProofWriter != nil {
 		s.proof = newProofLogger(opts.ProofWriter)
@@ -293,7 +276,7 @@ func (s *Solver) NewVar() Var {
 	if v >= maxVars {
 		panic("sat: variable limit exceeded")
 	}
-	phase := s.opts.InitialPhase
+	phase := false
 	act := 0.0
 	if s.opts.Seed != 0 {
 		// Seeded diversification: the polarity and a sub-unit activity
@@ -614,16 +597,14 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int) {
 	// subsumed by the rest of the learnt clause. Seen flags of dropped
 	// literals must still be cleared afterwards, so remember them.
 	s.minStack = append(s.minStack[:0], learnt...)
-	if !s.opts.DisableMinimize {
-		j := 1
-		for i := 1; i < len(learnt); i++ {
-			if !s.litRedundant(learnt[i]) {
-				learnt[j] = learnt[i]
-				j++
-			}
+	j := 1
+	for i := 1; i < len(learnt); i++ {
+		if !s.litRedundant(learnt[i]) {
+			learnt[j] = learnt[i]
+			j++
 		}
-		learnt = learnt[:j]
 	}
+	learnt = learnt[:j]
 
 	btLevel := 0
 	if len(learnt) > 1 {
@@ -674,9 +655,7 @@ func (s *Solver) cancelUntil(lvl int) {
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
-		if !s.opts.DisablePhaseSaving {
-			s.polarity[v] = s.assigns[v] == lTrue
-		}
+		s.polarity[v] = s.assigns[v] == lTrue
 		s.assigns[v] = lUndef
 		s.reason[v] = RefUndef
 		s.order.insert(v)
@@ -810,13 +789,16 @@ func (s *Solver) locked(ref ClauseRef) bool {
 	return s.reason[first.Var()] == ref && s.value(first) == lTrue
 }
 
-// Stop cancels a running Solve from another goroutine; the solve
-// returns Unknown at the next check point. It is safe to call at any
-// time, including before Solve.
-func (s *Solver) Stop() { s.stopped.Store(true) }
-
-// Stopped reports whether Stop has been called.
-func (s *Solver) Stopped() bool { return s.stopped.Load() }
+// cancelled reports whether the running solve's context is done. The
+// receive never blocks, and a nil done channel is never ready.
+func (s *Solver) cancelled() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // snapshotStats returns the cumulative counters plus the current
 // learnt-DB size and trail depth, the payload of a Progress callback.
@@ -827,7 +809,7 @@ func (s *Solver) snapshotStats() Stats {
 	return st
 }
 
-// poll checks the stop flag and fires the Progress callback once a
+// poll fires the Progress callback and checks for cancellation once a
 // decision or propagation interval has elapsed. It returns true when
 // the solve has been cancelled.
 func (s *Solver) poll() (cancelled bool) {
@@ -839,7 +821,7 @@ func (s *Solver) poll() (cancelled bool) {
 	if s.opts.Progress != nil {
 		s.opts.Progress(s.snapshotStats())
 	}
-	return s.stopped.Load()
+	return s.cancelled()
 }
 
 // search runs CDCL for at most nofConflicts conflicts and returns the
@@ -890,7 +872,7 @@ func (s *Solver) search(nofConflicts int64) Status {
 			}
 			s.varDecayActivity()
 			s.claDecayActivity()
-			if s.Stats.Conflicts&1023 == 0 && s.stopped.Load() {
+			if s.Stats.Conflicts&1023 == 0 && s.cancelled() {
 				return Unknown
 			}
 			continue
@@ -954,16 +936,26 @@ func luby(y float64, i int64) float64 {
 	return math.Pow(y, float64(seq))
 }
 
-// Solve runs the solver. It returns Sat, Unsat or Unknown (budget
-// exhausted or Stop called). After Sat, Model returns the assignment.
-// Solve is SolveAssuming with no assumptions, except that a Stop issued
-// before the call still cancels it (the documented Stop contract).
-func (s *Solver) Solve() Status { return s.solveWith(nil) }
-
-// solveWith is the restart loop shared by Solve and SolveAssuming. It
-// always returns with the trail unwound to decision level 0, so the
-// caller may add clauses and solve again.
-func (s *Solver) solveWith(assumps []Lit) Status {
+// Solve decides the clause database conjoined with the assumption
+// literals, which hold for this call only (see incremental.go). It
+// returns Sat, Unsat, or Unknown once Options.ConflictBudget is spent
+// or ctx is cancelled; a context already cancelled at entry gives
+// Unknown at once. After Sat, Model holds an assignment satisfying the
+// database and every assumption; after Unsat, FailedAssumptions reports
+// which assumptions, if any, were to blame.
+//
+// Solve always returns with the trail unwound to decision level 0, so
+// the caller may add clauses and solve again: learnt clauses, activity,
+// phases and statistics carry over, and a cancelled call leaves the
+// solver usable for the next one.
+func (s *Solver) Solve(ctx context.Context, assumps ...Lit) Status {
+	if ctx.Err() != nil {
+		return Unknown
+	}
+	// Only the done channel is kept, and only for this call, so a pooled
+	// solver never holds on to a caller's context.
+	s.done = ctx.Done()
+	defer func() { s.done = nil }()
 	s.model = nil
 	s.conflictCore = nil
 	s.assumptions = s.assumptions[:0]
@@ -989,7 +981,7 @@ func (s *Solver) solveWith(assumps []Lit) Status {
 	s.conflictBase = s.Stats.Conflicts
 	var curRestarts int64
 	for {
-		if s.stopped.Load() {
+		if s.cancelled() {
 			return Unknown
 		}
 		base := s.opts.RestartBase
@@ -1033,7 +1025,7 @@ func (s *Solver) solveWith(assumps []Lit) Status {
 		// Restart boundary: publish buffered learnt clauses and import
 		// foreign ones. Guarded against the cancelled-search path, which
 		// is the one way search returns Unknown above decision level 0.
-		if s.opts.Exchange != nil && !s.stopped.Load() && s.decisionLevel() == 0 {
+		if s.opts.Exchange != nil && !s.cancelled() && s.decisionLevel() == 0 {
 			if !s.exchangeAtRestart() {
 				return Unsat
 			}

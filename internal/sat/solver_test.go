@@ -15,7 +15,7 @@ func solveClauses(t *testing.T, clauses ...[]int) (Status, *Solver) {
 			return Unsat, s
 		}
 	}
-	return s.Solve(), s
+	return s.Solve(context.Background()), s
 }
 
 func TestEmptyFormulaIsSat(t *testing.T) {
@@ -78,7 +78,7 @@ func TestTautologyAndDuplicatesIgnored(t *testing.T) {
 	if got := s.NumClauses(); got != 1 {
 		t.Fatalf("NumClauses = %d, want 1", got)
 	}
-	if st := s.Solve(); st != Sat {
+	if st := s.Solve(context.Background()); st != Sat {
 		t.Fatalf("got %v, want Sat", st)
 	}
 }
@@ -192,19 +192,6 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestRandomAgainstBruteForceNoMinimize(t *testing.T) {
-	rng := rand.New(rand.NewSource(999))
-	for trial := 0; trial < 100; trial++ {
-		vars := 4 + rng.Intn(8)
-		cnf := randomCNF(rng, vars, vars*4, 3)
-		want, _ := BruteForce(cnf)
-		res := SolveCNFContext(context.Background(), cnf, Options{DisableMinimize: true})
-		if res.Status != want {
-			t.Fatalf("trial %d: CDCL(nomin)=%v brute=%v", trial, res.Status, want)
-		}
-	}
-}
-
 func TestConflictBudgetReturnsUnknown(t *testing.T) {
 	res := SolveCNFContext(context.Background(), php(9, 8), Options{ConflictBudget: 5})
 	if res.Status != Unknown {
@@ -212,41 +199,14 @@ func TestConflictBudgetReturnsUnknown(t *testing.T) {
 	}
 }
 
-func TestStopBeforeSolve(t *testing.T) {
-	s := New(Options{})
-	s.Load(php(8, 7))
-	s.Stop()
-	if st := s.Solve(); st != Unknown {
-		t.Fatalf("got %v, want Unknown when stopped before solve", st)
-	}
-	if !s.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
-}
-
 func TestStatsPopulated(t *testing.T) {
 	s := New(Options{})
 	s.Load(php(7, 6))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
 	if s.Stats.Conflicts == 0 || s.Stats.Propagations == 0 || s.Stats.Decisions == 0 {
 		t.Fatalf("stats not populated: %+v", s.Stats)
-	}
-}
-
-func TestInitialPhaseOption(t *testing.T) {
-	// With a single free variable and no constraints, the first decision
-	// follows InitialPhase.
-	for _, phase := range []bool{false, true} {
-		s := New(Options{InitialPhase: phase})
-		s.NewVar()
-		if st := s.Solve(); st != Sat {
-			t.Fatalf("got %v, want Sat", st)
-		}
-		if got := s.Model()[0]; got != phase {
-			t.Fatalf("InitialPhase=%v: model[0]=%v", phase, got)
-		}
 	}
 }
 
@@ -271,7 +231,7 @@ func TestSolverReusedModelAfterUnsatIsNil(t *testing.T) {
 	s := New(Options{})
 	s.AddDimacsClause(1)
 	s.AddDimacsClause(-1)
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v", st)
 	}
 	if s.Model() != nil {
@@ -350,18 +310,6 @@ func TestGeometricRestartsSolve(t *testing.T) {
 	}
 }
 
-func TestDisablePhaseSaving(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 30; trial++ {
-		cnf := randomCNF(rng, 10, 40, 3)
-		want, _ := BruteForce(cnf)
-		res := SolveCNFContext(context.Background(), cnf, Options{DisablePhaseSaving: true, InitialPhase: true})
-		if res.Status != want {
-			t.Fatalf("trial %d: got %v, want %v", trial, res.Status, want)
-		}
-	}
-}
-
 // TestLearntLimitClampedAcrossRestarts is the regression test for the
 // LearntLimit drift bug: the deletion threshold used to grow by 1.05×
 // per restart even when the user configured a hard cap, silently
@@ -370,7 +318,7 @@ func TestLearntLimitClampedAcrossRestarts(t *testing.T) {
 	const limit = 100
 	s := New(Options{LearntLimit: limit, RestartBase: 10})
 	s.Load(php(9, 8))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
 	if s.Stats.Restarts == 0 {
@@ -389,7 +337,7 @@ func TestLearntLimitClampedAcrossRestarts(t *testing.T) {
 func TestLearntLimitKeepsDeletionActive(t *testing.T) {
 	s := New(Options{LearntLimit: 50, RestartBase: 10})
 	s.Load(php(9, 8))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
 	if s.Stats.Removed == 0 {
@@ -399,32 +347,33 @@ func TestLearntLimitKeepsDeletionActive(t *testing.T) {
 }
 
 // TestStopDuringConflictFreeSearch is the regression test for the
-// cancellation-latency bug: stopped used to be polled only every 1024
-// conflicts and at restart boundaries, so a search that never
+// cancellation-latency bug: cancellation used to be checked only every
+// 1024 conflicts and at restart boundaries, so a search that never
 // conflicts (here: a formula with no clauses at all, where every
 // decision just extends the trail) could not be cancelled at all.
 func TestStopDuringConflictFreeSearch(t *testing.T) {
 	const numVars = 200000
 	const stopAt = 2048
-	var s *Solver
-	s = New(Options{
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := New(Options{
 		Progress: func(st Stats) {
 			if st.Decisions >= stopAt {
-				s.Stop()
+				cancel()
 			}
 		},
 	})
 	for i := 0; i < numVars; i++ {
 		s.NewVar()
 	}
-	st := s.Solve()
+	st := s.Solve(ctx)
 	if st != Unknown {
-		t.Fatalf("got %v, want Unknown (Stop ignored during conflict-free search)", st)
+		t.Fatalf("got %v, want Unknown (cancellation ignored during conflict-free search)", st)
 	}
-	// The solver must notice the stop within one polling interval.
+	// The solver must notice the cancellation within one polling interval.
 	const bound = stopAt + 3*progressDecisionInterval
 	if s.Stats.Decisions > bound {
-		t.Fatalf("solver made %d decisions after Stop at %d (bound %d)",
+		t.Fatalf("solver made %d decisions after cancellation at %d (bound %d)",
 			s.Stats.Decisions, stopAt, bound)
 	}
 }
@@ -450,7 +399,7 @@ func TestProgressSnapshots(t *testing.T) {
 		},
 	})
 	s.Load(php(8, 7))
-	if st := s.Solve(); st != Unsat {
+	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
 	if calls == 0 {

@@ -3,7 +3,7 @@
 // width W — on a single incremental SAT solver. The graph is encoded
 // once at the upper-bound width with selector-guarded color-domain
 // bounds (core.EncodeIncremental); each width probe is then one
-// SolveAssuming call with a single selector assumption, so learnt
+// Solve call with a single selector assumption, so learnt
 // clauses, VSIDS activity and saved phases carry over between widths
 // instead of being discarded by a fresh encode+solve per width.
 package search
@@ -27,7 +27,7 @@ const (
 	// MetricEncode times the one-off incremental encode (structural +
 	// conflict + selector guard clauses streamed into the solver).
 	MetricEncode = "search.minwidth.encode"
-	// MetricProbe times each per-width SolveAssuming probe.
+	// MetricProbe times each per-width Solve probe.
 	MetricProbe = "search.minwidth.probe"
 	// MetricProbes counts width probes.
 	MetricProbes = "search.minwidth.probes"
@@ -176,7 +176,7 @@ func minWidthOn(ctx context.Context, g *graph.Graph, opts Options, lo int, res *
 		}
 		before := solver.Stats.Conflicts
 		sp := reg.StartSpan(MetricProbe + suffix)
-		st := solver.SolveAssumingContext(probeCtx, assumps...)
+		st := solver.Solve(probeCtx, assumps...)
 		d := sp.End()
 		p := Probe{
 			Width:     w,

@@ -2,6 +2,7 @@ package share
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -209,7 +210,7 @@ func runSharedPHP(t *testing.T, n int, seed int64) sharedRun {
 				Exchange:    lane,
 			})
 			loadPHP(s.AddDimacsClause, 7, 6)
-			out.status[i] = s.Solve()
+			out.status[i] = s.Solve(context.Background())
 			out.stats[i] = s.Stats
 			if err := s.ProofError(); err != nil {
 				t.Errorf("lane %d proof error: %v", i, err)
