@@ -34,9 +34,9 @@ type (
 	// (compressed sparse row) storage — build one with GraphBuilder or
 	// GraphFromEdgeStream.
 	Graph = graph.Graph
-	// GraphBuilder is the mutable construction side of Graph: AddVertex
-	// / AddEdge freely, then Freeze() into the immutable CSR form every
-	// consumer reads.
+	// GraphBuilder is the mutable construction side of Graph: an edge
+	// list to AddEdge / AddWeightedEdge into, then Freeze() into the
+	// immutable CSR form every consumer reads.
 	GraphBuilder = graph.Builder
 
 	// CSP is a graph-coloring constraint-satisfaction problem with
@@ -337,18 +337,13 @@ func ScaledFabric(factor int) ScaleParams { return fpga.ScaledFabric(factor) }
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
 // GraphFromEdgeStream builds a CSR Graph in two passes over a
-// deterministic edge stream, with no intermediate adjacency maps — the
-// cheapest way to materialize a large generated graph.
-func GraphFromEdgeStream(n int, stream func(emit func(u, v int))) *Graph {
+// deterministic edge stream, with no intermediate edge list — the
+// cheapest way to materialize a large generated graph. Each emitted
+// edge carries a distance d ≥ 1: 1 is the classic disequality edge,
+// larger values make a bandwidth-coloring instance. Duplicates merge to
+// the larger distance, and an all-1 stream yields an unweighted graph.
+func GraphFromEdgeStream(n int, stream func(emit func(u, v, d int))) *Graph {
 	return graph.FromEdgeStream(n, stream)
-}
-
-// GraphFromWeightedEdgeStream is GraphFromEdgeStream for
-// bandwidth-coloring instances: each emitted edge carries a distance
-// d ≥ 1 (duplicates merge to the larger distance, and an all-1 stream
-// normalizes to an unweighted graph).
-func GraphFromWeightedEdgeStream(n int, stream func(emit func(u, v, d int))) *Graph {
-	return graph.FromWeightedEdgeStream(n, stream)
 }
 
 // RouteGlobal computes a global routing with negotiated congestion.

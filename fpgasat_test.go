@@ -198,7 +198,7 @@ func TestPublicAPIObservability(t *testing.T) {
 func TestPublicAPIBandwidth(t *testing.T) {
 	// A distance-2 5-cycle: chromatic number 3, bandwidth minimum 5
 	// (e.g. colors 0 2 0 2 4).
-	g := fpgasat.GraphFromWeightedEdgeStream(5, func(emit func(u, v, d int)) {
+	g := fpgasat.GraphFromEdgeStream(5, func(emit func(u, v, d int)) {
 		for i := 0; i < 5; i++ {
 			emit(i, (i+1)%5, 2)
 		}

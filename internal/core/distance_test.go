@@ -44,7 +44,7 @@ func weightedTestGraphs() map[string]*graph.Graph {
 	out["cycle-merged"] = par.Freeze()
 
 	// A clique with uniform spacing 2: min span is 2*(n-1)+1 colors.
-	k4 := graph.FromWeightedEdgeStream(4, func(emit func(u, v, d int)) {
+	k4 := graph.FromEdgeStream(4, func(emit func(u, v, d int)) {
 		for u := 0; u < 4; u++ {
 			for v := u + 1; v < 4; v++ {
 				emit(u, v, 2)
@@ -220,12 +220,12 @@ func TestOrderEncodingShape(t *testing.T) {
 }
 
 // TestWeightedStreamMatchesUnweightedOnD1 proves the distance-1 normal
-// form end-to-end: building the same graph through the weighted
-// constructors with all distances 1 yields an unweighted graph, so the
-// encoder takes the exact pre-distance path (the one pinned by
+// form end-to-end: building a graph with all distances 1, streamed or
+// through a Builder's AddWeightedEdge, yields an unweighted graph, so
+// the encoder takes the exact pre-distance path (the one pinned by
 // TestPinnedClauseStreams).
 func TestWeightedStreamMatchesUnweightedOnD1(t *testing.T) {
-	g := graph.FromWeightedEdgeStream(6, func(emit func(u, v, d int)) {
+	g := graph.FromEdgeStream(6, func(emit func(u, v, d int)) {
 		emit(0, 1, 1)
 		emit(1, 2, 1)
 		emit(2, 3, 1)

@@ -102,10 +102,10 @@ func TestEncodeIdenticalAcrossConstruction(t *testing.T) {
 		b.AddEdge(e[0], e[1])
 	}
 	g1 := b.Freeze()
-	g2 := graph.FromEdgeStream(n, func(emit func(u, v int)) {
+	g2 := graph.FromEdgeStream(n, func(emit func(u, v, d int)) {
 		for i := len(edges) - 1; i >= 0; i-- { // reversed + duplicated
-			emit(edges[i][1], edges[i][0])
-			emit(edges[i][0], edges[i][1])
+			emit(edges[i][1], edges[i][0], 1)
+			emit(edges[i][0], edges[i][1], 1)
 		}
 	})
 	enc, err := ByName("ITE-linear-2+muldirect")

@@ -25,7 +25,6 @@ func TestTemplateMatchesEmitVar(t *testing.T) {
 	encs = append(encs,
 		NewITETree("tree-linear", LinearShape),
 		NewITETree("tree-balanced", BalancedShape))
-	encs = append(encs, mixedTestEncodings()...)
 	for _, enc := range encs {
 		for d := 1; d <= 16; d++ {
 			tm := newTemplate(enc, d)

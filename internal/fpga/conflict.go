@@ -66,7 +66,7 @@ func (gr *GlobalRouting) ConflictGraphXtalk(xtalk int) *graph.Graph {
 	coupled := max(xtalk, 1)
 	shared := make([]int32, n)
 	var partners []int32
-	g := graph.FromWeightedEdgeStream(n, func(emit func(u, v, d int)) {
+	return graph.FromEdgeStream(n, func(emit func(u, v, d int)) {
 		for u := 0; u < n; u++ {
 			net := gr.Routes[u].Net
 			partners = partners[:0]
@@ -91,11 +91,6 @@ func (gr *GlobalRouting) ConflictGraphXtalk(xtalk int) *graph.Graph {
 			}
 		}
 	})
-	g.Labels = make([]string, n)
-	for i, r := range gr.Routes {
-		g.Labels[i] = r.Label(gr.Netlist)
-	}
-	return g
 }
 
 // DetailedRouting is a global routing plus a track assignment: 2-pin

@@ -59,7 +59,8 @@ type TwoPinNet struct {
 	Segs  []SegID
 }
 
-// Label names the subnet for conflict-graph vertex labels.
+// Label names the subnet as reports and errors print it: "n12.3" is
+// subnet 3 of net n12.
 func (t TwoPinNet) Label(nl *Netlist) string {
 	return fmt.Sprintf("%s.%d", nl.Nets[t.Net].Name, t.Index)
 }

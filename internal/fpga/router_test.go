@@ -18,9 +18,9 @@ func writeRouting(h hash.Hash, gr *GlobalRouting) {
 	}
 }
 
-// writeGraph hashes a conflict graph: size, every CSR row with its
-// edge weights, and the vertex labels.
-func writeGraph(h hash.Hash, g *graph.Graph) {
+// writeGraph hashes a conflict graph of gr: size, every CSR row with
+// its edge weights, and the label of each vertex's route.
+func writeGraph(h hash.Hash, gr *GlobalRouting, g *graph.Graph) {
 	fmt.Fprintf(h, "g %d %d %v\n", g.N(), g.M(), g.Weighted())
 	for v := 0; v < g.N(); v++ {
 		fmt.Fprintf(h, "%d:", v)
@@ -29,7 +29,11 @@ func writeGraph(h hash.Hash, g *graph.Graph) {
 		}
 		fmt.Fprintln(h)
 	}
-	fmt.Fprintf(h, "l %q\n", g.Labels)
+	labels := make([]string, len(gr.Routes))
+	for i, r := range gr.Routes {
+		labels[i] = r.Label(gr.Netlist)
+	}
+	fmt.Fprintf(h, "l %q\n", labels)
 }
 
 // TestRouteGlobalPinned holds the router and the conflict-graph
@@ -65,7 +69,7 @@ func TestRouteGlobalPinned(t *testing.T) {
 						fmt.Fprintf(h, "%+v %+v converged=%v\n", p, o, converged)
 						writeRouting(h, gr)
 						for x := 0; x <= 3; x++ {
-							writeGraph(h, gr.ConflictGraphXtalk(x))
+							writeGraph(h, gr, gr.ConflictGraphXtalk(x))
 						}
 					}
 				}

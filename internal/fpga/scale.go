@@ -210,14 +210,17 @@ func GenerateScaled(p ScaleParams) (*graph.Graph, ScaleStats, error) {
 	vertex := func(tile, tmpl int) int {
 		return tile*keep + rank[tile%t][tmpl]
 	}
-	edges := func(emit func(u, v int)) {
+	// Every conflict is a shared physical segment, so the spacing
+	// constraint applies uniformly to all edges.
+	dist := max(p.Crosstalk, 1)
+	g := graph.FromEdgeStream(n, func(emit func(u, v, d int)) {
 		for y := 0; y < p.Rows; y++ {
 			for x := 0; x < p.Cols; x++ {
 				tile := y*p.Cols + x
 				kept := rank[tile%t]
 				for _, pr := range tp.intra {
 					if kept[pr[0]] >= 0 && kept[pr[1]] >= 0 {
-						emit(vertex(tile, pr[0]), vertex(tile, pr[1]))
+						emit(vertex(tile, pr[0]), vertex(tile, pr[1]), dist)
 					}
 				}
 				if x+1 < p.Cols {
@@ -225,7 +228,7 @@ func GenerateScaled(p ScaleParams) (*graph.Graph, ScaleStats, error) {
 					keptNb := rank[nb%t]
 					for _, pr := range tp.right {
 						if kept[pr[0]] >= 0 && keptNb[pr[1]] >= 0 {
-							emit(vertex(tile, pr[0]), vertex(nb, pr[1]))
+							emit(vertex(tile, pr[0]), vertex(nb, pr[1]), dist)
 						}
 					}
 				}
@@ -234,23 +237,13 @@ func GenerateScaled(p ScaleParams) (*graph.Graph, ScaleStats, error) {
 					keptNb := rank[nb%t]
 					for _, pr := range tp.up {
 						if kept[pr[0]] >= 0 && keptNb[pr[1]] >= 0 {
-							emit(vertex(tile, pr[0]), vertex(nb, pr[1]))
+							emit(vertex(tile, pr[0]), vertex(nb, pr[1]), dist)
 						}
 					}
 				}
 			}
 		}
-	}
-	var g *graph.Graph
-	if p.Crosstalk >= 2 {
-		// Every conflict is a shared physical segment, so the spacing
-		// constraint applies uniformly to all edges.
-		g = graph.FromWeightedEdgeStream(n, func(emit func(u, v, d int)) {
-			edges(func(u, v int) { emit(u, v, p.Crosstalk) })
-		})
-	} else {
-		g = graph.FromEdgeStream(n, edges)
-	}
+	})
 
 	stats := ScaleStats{
 		Rows: p.Rows, Cols: p.Cols, ChannelWidth: p.ChannelWidth,

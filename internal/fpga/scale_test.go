@@ -166,3 +166,26 @@ func TestGenerateScaledCrosstalk(t *testing.T) {
 		t.Fatal("over-cap crosstalk accepted")
 	}
 }
+
+// TestGenerateScaledAllocsDoNotScale holds GenerateScaled at 10× to
+// the allocations at 1×, with and without crosstalk: the CSR arrays are
+// allocated once whatever the fabric's size, and sorting the rows, with
+// or without their weights, allocates nothing.
+func TestGenerateScaledAllocsDoNotScale(t *testing.T) {
+	for _, xtalk := range []int{0, 2} {
+		var allocs [2]float64
+		for i, factor := range []int{1, 10} {
+			p := ScaledFabric(factor)
+			p.Crosstalk = xtalk
+			allocs[i] = testing.AllocsPerRun(3, func() {
+				if _, _, err := GenerateScaled(p); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("crosstalk %d: %.0f allocations at 1x, %.0f at 10x", xtalk, allocs[0], allocs[1])
+		if allocs[1] > allocs[0]+8 {
+			t.Errorf("crosstalk %d: %.0f allocations at 10x against %.0f at 1x", xtalk, allocs[1], allocs[0])
+		}
+	}
+}

@@ -1,34 +1,22 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Builder accumulates an undirected graph under mutation — the map-based
-// adjacency the package's Graph type used to expose directly — and
-// Freeze()s it into the immutable CSR Graph every consumer reads.
-// Self-loops are rejected (a 2-pin net cannot conflict with itself) and
-// parallel edges are merged; weighted parallel edges keep the largest
-// distance.
+// Builder accumulates an undirected graph edge by edge and Freeze()s it
+// into the immutable CSR Graph every consumer reads. It is a plain edge
+// list that Freeze streams through FromEdgeStream, so it shares that
+// constructor's rules: self-loops are rejected (a 2-pin net cannot
+// conflict with itself) and parallel edges are merged, keeping the
+// largest distance.
 //
-// Adjacency grows lazily: a Builder created for n vertices commits no
-// per-vertex storage until edges touch the vertices, which is what lets
+// An edge costs 12 bytes and a vertex nothing: a Builder created for n
+// vertices commits no storage until edges arrive, which is what lets
 // the DIMACS parser accept a large declared vertex count without
 // allocating for it up front.
 type Builder struct {
-	n int
-	// adj maps neighbor -> edge distance (1 for classic disequality
-	// edges). maxW tracks the largest distance added so Freeze knows
-	// whether a weight array is needed at all.
-	adj  []map[int32]int32
-	m    int
-	maxW int32
-
-	// Labels optionally names vertices; carried into the frozen Graph.
-	Labels []string
+	n     int
+	edges []builderEdge
 }
+
+type builderEdge struct{ u, v, d int32 }
 
 // NewBuilder creates a builder with n isolated vertices.
 func NewBuilder(n int) *Builder {
@@ -40,15 +28,6 @@ func NewBuilder(n int) *Builder {
 
 // N returns the number of vertices.
 func (b *Builder) N() int { return b.n }
-
-// M returns the number of edges added so far.
-func (b *Builder) M() int { return b.m }
-
-// AddVertex appends an isolated vertex and returns its index.
-func (b *Builder) AddVertex() int {
-	b.n++
-	return b.n - 1
-}
 
 // AddEdge inserts the undirected edge {u,v} with distance 1. Adding an
 // existing edge is a no-op (an existing larger distance is kept);
@@ -63,133 +42,21 @@ func (b *Builder) AddEdge(u, v int) {
 // AddWeightedEdge inserts the undirected edge {u,v} with distance
 // d >= 1 (bandwidth coloring: |c(u)-c(v)| >= d). Re-adding an edge
 // keeps the largest distance seen — the tighter constraint wins.
-// Invalid distances panic like invalid vertices do.
+// Invalid distances panic like invalid vertices do, here rather than
+// at Freeze.
 func (b *Builder) AddWeightedEdge(u, v, d int) {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at %d", u))
-	}
-	if d < 1 || d > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: edge {%d,%d} has invalid distance %d", u, v, d))
-	}
-	b.check(u)
-	b.check(v)
-	b.grow(u)
-	b.grow(v)
-	if b.adj[u] == nil {
-		b.adj[u] = make(map[int32]int32)
-	}
-	w := int32(d)
-	if prev, dup := b.adj[u][int32(v)]; dup {
-		if w > prev {
-			b.adj[u][int32(v)] = w
-			b.adj[v][int32(u)] = w
-			if w > b.maxW {
-				b.maxW = w
-			}
-		}
-		return
-	}
-	if b.adj[v] == nil {
-		b.adj[v] = make(map[int32]int32)
-	}
-	b.adj[u][int32(v)] = w
-	b.adj[v][int32(u)] = w
-	if w > b.maxW {
-		b.maxW = w
-	}
-	b.m++
+	checkEdge(b.n, u, v, d)
+	b.edges = append(b.edges, builderEdge{int32(u), int32(v), int32(d)})
 }
 
-// HasEdge reports whether {u,v} has been added.
-func (b *Builder) HasEdge(u, v int) bool {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n || u == v || u >= len(b.adj) {
-		return false
-	}
-	_, ok := b.adj[u][int32(v)]
-	return ok
-}
-
-// Degree returns the number of neighbors of v so far.
-func (b *Builder) Degree(v int) int {
-	b.check(v)
-	if v >= len(b.adj) {
-		return 0
-	}
-	return len(b.adj[v])
-}
-
-// Freeze converts the accumulated adjacency into an immutable CSR
-// Graph. The builder remains usable afterwards (freezing copies). A
-// builder whose edges all have distance 1 freezes into an unweighted
-// graph: the weight array only exists when a distance >= 2 occurs.
+// Freeze streams the edge list into an immutable CSR Graph. The
+// builder remains usable afterwards. A builder whose edges all have
+// distance 1 freezes into an unweighted graph: the weight array only
+// exists when a distance >= 2 occurs.
 func (b *Builder) Freeze() *Graph {
-	n := b.n
-	if n >= 1<<31-1 {
-		panic(fmt.Sprintf("graph: %d vertices exceed the CSR int32 id space", n))
-	}
-	offsets := make([]int32, n+1)
-	for v := 0; v < n && v < len(b.adj); v++ {
-		offsets[v+1] = int32(len(b.adj[v]))
-	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	neighbors := make([]int32, offsets[n])
-	var weights []int32
-	if b.maxW > 1 {
-		weights = make([]int32, offsets[n])
-	}
-	for v := 0; v < n && v < len(b.adj); v++ {
-		row := neighbors[offsets[v]:offsets[v+1]]
-		i := 0
-		for u := range b.adj[v] {
-			row[i] = u
-			i++
+	return FromEdgeStream(b.n, func(emit func(u, v, d int)) {
+		for _, e := range b.edges {
+			emit(int(e.u), int(e.v), int(e.d))
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		if weights != nil {
-			wrow := weights[offsets[v]:offsets[v+1]]
-			for i, u := range row {
-				wrow[i] = b.adj[v][u]
-			}
-		}
-	}
-	g := &Graph{offsets: offsets, neighbors: neighbors, weights: weights, m: b.m}
-	if b.Labels != nil {
-		g.Labels = append([]string(nil), b.Labels...)
-	}
-	return g
-}
-
-// grow extends the adjacency slice to cover vertex v. Growth is
-// incremental so that a huge declared vertex count costs nothing until
-// edges actually reference high vertex ids.
-func (b *Builder) grow(v int) {
-	if v < len(b.adj) {
-		return
-	}
-	if cap(b.adj) > v {
-		b.adj = b.adj[:v+1]
-		return
-	}
-	next := make([]map[int32]int32, v+1, growCap(len(b.adj), v+1))
-	copy(next, b.adj)
-	b.adj = next[:v+1]
-}
-
-func growCap(have, need int) int {
-	c := have * 2
-	if c < need {
-		c = need
-	}
-	if c < 16 {
-		c = 16
-	}
-	return c
-}
-
-func (b *Builder) check(v int) {
-	if v < 0 || v >= b.n {
-		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, b.n))
-	}
+	})
 }

@@ -67,10 +67,11 @@ func WriteDIMACS(w io.Writer, g *Graph, comments ...string) error {
 // optional fourth field — the bandwidth-coloring distance d >= 1
 // ("e u v d"), bounded by MaxParseDistance — and a file whose distances
 // are all 1 parses to a plain unweighted graph. The declared vertex
-// count is validated against MaxParseVertices, per-vertex storage is
-// only committed as edges reference vertices, and the number of edge
-// lines read must match the edge count the header declared — a mismatch
-// is an input error, not a silently wrong graph.
+// count is validated against MaxParseVertices, storage grows with the
+// edge lines read (the CSR offsets for the declared count are allocated
+// once, at the end), and the number of edge lines read must match the
+// edge count the header declared — a mismatch is an input error, not a
+// silently wrong graph.
 func ParseDIMACS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)

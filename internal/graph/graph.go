@@ -4,35 +4,37 @@
 // DIMACS edge ("p edge", .col) format is the interchange format the
 // paper's tool flow emits between its two translation steps.
 //
-// The package separates construction from consumption. A Builder holds
-// mutable map-based adjacency and Freeze()s into an immutable Graph in
-// compressed sparse row (CSR) form: two flat int32 arrays (offsets,
-// neighbors) that give O(1) Degree, allocation-free sorted Neighbors
-// and a streaming ForEachEdge iterator. Consumers never materialize an
-// edge list, which keeps the encode path allocation-light and lets
-// tile-templated generators (package fpga) stream conflict graphs with
-// 10⁵–10⁶ nets straight into the encoders.
+// The package separates construction from consumption. Every graph is
+// built by one constructor, FromEdgeStream, which turns a replayable
+// edge stream into an immutable Graph in compressed sparse row (CSR)
+// form: two flat int32 arrays (offsets, neighbors) that give O(1)
+// Degree, allocation-free sorted Neighbors and a streaming ForEachEdge
+// iterator. A Builder is a plain edge list that Freeze()s through it.
+// Consumers never materialize an edge list, which keeps the encode path
+// allocation-light and lets tile-templated generators (package fpga)
+// stream conflict graphs with 10⁵–10⁶ nets straight into the encoders.
 package graph
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Graph is an immutable simple undirected graph over vertices 0..N-1 in
-// CSR form. Self-loops and parallel edges cannot occur (the Builder and
-// the stream constructor reject or merge them). Build one with
-// (*Builder).Freeze, FromEdgeStream, or the generators in this package.
+// CSR form. Self-loops and parallel edges cannot occur (FromEdgeStream
+// rejects the one and merges the other). Build one with FromEdgeStream,
+// (*Builder).Freeze, or the generators in this package.
 //
 // Edges optionally carry an integer distance weight d >= 1 (bandwidth
 // coloring: adjacent colors must differ by at least d). The weights
 // live in a third flat int32 array parallel to the neighbor array, so a
 // weighted graph costs exactly one extra int32 per directed edge and
-// nothing at all when every weight is 1: constructors normalize all-1
-// weight sets back to the nil (unweighted) form, keeping classic
-// disequality instances on the exact representation they had before
-// distance constraints existed.
+// nothing at all when every weight is 1: FromEdgeStream allocates the
+// weight array only for a stream with some distance >= 2, keeping
+// classic disequality instances on the exact representation they had
+// before distance constraints existed.
 type Graph struct {
 	// offsets has length n+1; the neighbors of v are
 	// neighbors[offsets[v]:offsets[v+1]], sorted ascending. Each
@@ -43,15 +45,11 @@ type Graph struct {
 	// distance of the edge to neighbors[i] (>= 1, stored symmetrically).
 	weights []int32
 	m       int
-
-	// Labels optionally names vertices (e.g. "net12.3" for the third
-	// 2-pin subnet of net 12). May be nil or shorter than n. Large
-	// generated graphs leave it nil; Label falls back to "v<i>".
-	Labels []string
 }
 
 // New creates an immutable graph with n isolated vertices (the CSR form
-// of the empty edge set). To build a graph with edges, use a Builder.
+// of the empty edge set). To build a graph with edges, use
+// FromEdgeStream or a Builder.
 func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
@@ -113,7 +111,7 @@ func (g *Graph) ForEachEdge(f func(u, v int)) {
 }
 
 // Weighted reports whether any edge carries a distance weight >= 2.
-// Constructors normalize all-1 weight sets to the unweighted form, so
+// FromEdgeStream keeps all-1 weight sets in the unweighted form, so
 // this is equivalent to "the graph has a non-trivial distance
 // constraint".
 func (g *Graph) Weighted() bool { return g.weights != nil }
@@ -196,36 +194,11 @@ func (g *Graph) NeighborDegreeSum(v int) int {
 	return sum
 }
 
-// Clone returns a deep copy (the CSR arrays and labels are duplicated,
-// so the copy shares no storage with the original).
-func (g *Graph) Clone() *Graph {
-	out := &Graph{
-		offsets:   append([]int32(nil), g.offsets...),
-		neighbors: append([]int32(nil), g.neighbors...),
-		m:         g.m,
-	}
-	if g.weights != nil {
-		out.weights = append([]int32(nil), g.weights...)
-	}
-	if g.Labels != nil {
-		out.Labels = append([]string(nil), g.Labels...)
-	}
-	return out
-}
-
 // Bytes returns the memory footprint of the CSR representation in
-// bytes (offsets plus neighbors plus weights; labels excluded). This is
-// the "peak graph bytes" number the scaling study records.
+// bytes (offsets plus neighbors plus weights). This is the "peak graph
+// bytes" number the scaling study records.
 func (g *Graph) Bytes() int {
 	return 4 * (len(g.offsets) + len(g.neighbors) + len(g.weights))
-}
-
-// Label returns the label of v, or a numeric fallback.
-func (g *Graph) Label(v int) string {
-	if v < len(g.Labels) && g.Labels[v] != "" {
-		return g.Labels[v]
-	}
-	return fmt.Sprintf("v%d", v)
 }
 
 func (g *Graph) check(v int) {
@@ -234,131 +207,124 @@ func (g *Graph) check(v int) {
 	}
 }
 
-// FromEdgeStream builds a CSR graph directly from a deterministic edge
-// stream, without any intermediate per-vertex maps: stream is invoked
-// twice with an emit callback and must yield the same multiset of edges
-// both times (first pass counts degrees, second pass fills the rows).
-// Each undirected edge should be emitted once in either orientation;
-// duplicates are merged. Self-loops and out-of-range vertices panic,
-// matching (*Builder).AddEdge. This is the constructor tile-templated
-// generators use to stream million-net conflict graphs into CSR form
-// with two flat allocations.
-func FromEdgeStream(n int, stream func(emit func(u, v int))) *Graph {
+// FromEdgeStream builds a CSR graph from a deterministic edge stream;
+// it is the one constructor every graph goes through. stream is invoked
+// twice with an emit callback and must yield the same edges both times:
+// the first pass counts degrees, the second fills the rows. Each
+// undirected edge is emitted once in either orientation with a distance
+// d >= 1 (bandwidth coloring: |c(u)-c(v)| >= d; d = 1 is the classic
+// disequality edge). Duplicates are merged keeping the largest distance
+// (the tighter constraint). The weight array exists only when some edge
+// has d >= 2, so a distance-1 stream yields the plain unweighted graph
+// (the distance-1 normal form). Self-loops, out-of-range vertices,
+// invalid distances and a stream that changes between its passes
+// panic. Beyond the CSR arrays it allocates nothing per vertex or edge,
+// which is what lets tile-templated generators stream million-net
+// conflict graphs straight into CSR form.
+func FromEdgeStream(n int, stream func(emit func(u, v, d int))) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
 	if n >= math.MaxInt32 {
 		panic(fmt.Sprintf("graph: %d vertices exceed the CSR int32 id space", n))
 	}
+	// offsets[v] counts v's edge ends, then holds the end of v's row.
+	// The fill pass writes each row backwards from its end, which leaves
+	// offsets[v] at the row's start without a separate cursor array.
+	// The passes are compared by an order-independent hash of their
+	// edges: the first adds each edge's hash, the second subtracts it.
 	offsets := make([]int32, n+1)
-	count := func(u, v int) {
-		if u == v {
-			panic(fmt.Sprintf("graph: self-loop at %d", u))
-		}
-		if u < 0 || u >= n || v < 0 || v >= n {
-			panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0,%d)", u, v, n))
-		}
-		offsets[u+1]++
-		offsets[v+1]++
-	}
-	stream(count)
+	weighted := false
+	var sum uint64
+	stream(func(u, v, d int) {
+		checkEdge(n, u, v, d)
+		offsets[u]++
+		offsets[v]++
+		weighted = weighted || d > 1
+		sum += edgeHash(u, v, d)
+	})
 	var running int64
 	for v := 0; v < n; v++ {
-		running += int64(offsets[v+1])
+		running += int64(offsets[v])
 		if running > math.MaxInt32 {
 			panic("graph: edge stream exceeds the CSR int32 offset space")
 		}
-		offsets[v+1] = int32(running)
+		offsets[v] = int32(running)
 	}
-	total := int(offsets[n])
-	neighbors := make([]int32, total)
-	cursor := append([]int32(nil), offsets[:n]...)
-	fill := func(u, v int) {
-		neighbors[cursor[u]] = int32(v)
-		cursor[u]++
-		neighbors[cursor[v]] = int32(u)
-		cursor[v]++
+	offsets[n] = int32(running)
+	neighbors := make([]int32, running)
+	var weights []int32
+	if weighted {
+		weights = make([]int32, running)
 	}
-	stream(fill)
-	for v := 0; v < n; v++ {
-		if cursor[v] != offsets[v+1] {
-			panic("graph: edge stream changed between passes")
+	stream(func(u, v, d int) {
+		checkEdge(n, u, v, d)
+		if offsets[u] == 0 || offsets[v] == 0 {
+			panic(errStreamChanged)
 		}
+		offsets[u]--
+		offsets[v]--
+		neighbors[offsets[u]] = int32(v)
+		neighbors[offsets[v]] = int32(u)
+		if weights != nil {
+			weights[offsets[u]] = int32(d)
+			weights[offsets[v]] = int32(d)
+		}
+		sum -= edgeHash(u, v, d)
+	})
+	if sum != 0 {
+		panic(errStreamChanged)
 	}
-	g := &Graph{offsets: offsets, neighbors: neighbors, m: total / 2}
+	g := &Graph{offsets: offsets, neighbors: neighbors, weights: weights}
 	g.sortAndDedup()
 	return g
 }
 
-// FromWeightedEdgeStream is FromEdgeStream for distance-annotated
-// graphs: stream emits (u, v, d) triples with d >= 1 and must be
-// deterministic across the two passes. Duplicate edges are merged
-// keeping the largest distance (the tighter constraint). A stream whose
-// weights are all 1 yields a plain unweighted graph — the distance-1
-// normal form.
-func FromWeightedEdgeStream(n int, stream func(emit func(u, v, d int))) *Graph {
-	if n < 0 {
-		panic("graph: negative vertex count")
+const errStreamChanged = "graph: edge stream changed between passes"
+
+// checkEdge panics unless {u,v} is an edge between two distinct
+// vertices of [0,n) with a distance in [1, MaxInt32].
+func checkEdge(n, u, v, d int) {
+	if u == v {
+		panic(fmt.Sprintf("graph: self-loop at %d", u))
 	}
-	if n >= math.MaxInt32 {
-		panic(fmt.Sprintf("graph: %d vertices exceed the CSR int32 id space", n))
+	if u < 0 || u >= n || v < 0 || v >= n {
+		panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0,%d)", u, v, n))
 	}
-	offsets := make([]int32, n+1)
-	count := func(u, v, d int) {
-		if u == v {
-			panic(fmt.Sprintf("graph: self-loop at %d", u))
-		}
-		if u < 0 || u >= n || v < 0 || v >= n {
-			panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0,%d)", u, v, n))
-		}
-		if d < 1 || d > math.MaxInt32 {
-			panic(fmt.Sprintf("graph: edge {%d,%d} has invalid distance %d", u, v, d))
-		}
-		offsets[u+1]++
-		offsets[v+1]++
+	if d < 1 || d > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: edge {%d,%d} has invalid distance %d", u, v, d))
 	}
-	stream(count)
-	var running int64
-	for v := 0; v < n; v++ {
-		running += int64(offsets[v+1])
-		if running > math.MaxInt32 {
-			panic("graph: edge stream exceeds the CSR int32 offset space")
-		}
-		offsets[v+1] = int32(running)
+}
+
+// edgeHash mixes an edge, in either orientation, into 64 bits
+// (splitmix64's finalizer over both ends, then again with the
+// distance).
+func edgeHash(u, v, d int) uint64 {
+	if u > v {
+		u, v = v, u
 	}
-	total := int(offsets[n])
-	neighbors := make([]int32, total)
-	weights := make([]int32, total)
-	cursor := append([]int32(nil), offsets[:n]...)
-	fill := func(u, v, d int) {
-		neighbors[cursor[u]] = int32(v)
-		weights[cursor[u]] = int32(d)
-		cursor[u]++
-		neighbors[cursor[v]] = int32(u)
-		weights[cursor[v]] = int32(d)
-		cursor[v]++
-	}
-	stream(fill)
-	for v := 0; v < n; v++ {
-		if cursor[v] != offsets[v+1] {
-			panic("graph: edge stream changed between passes")
-		}
-	}
-	g := &Graph{offsets: offsets, neighbors: neighbors, weights: weights, m: total / 2}
-	g.sortAndDedup()
-	return g
+	return mix64(mix64(uint64(u)<<32|uint64(v)) + uint64(d))
+}
+
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // csrRow co-sorts one CSR row's neighbor and weight slices by neighbor
-// id.
+// id. sortAndDedup passes one reused *csrRow to sort.Sort, so sorting a
+// weighted row allocates nothing.
 type csrRow struct {
 	nbr []int32
 	wt  []int32
 }
 
-func (r csrRow) Len() int           { return len(r.nbr) }
-func (r csrRow) Less(i, j int) bool { return r.nbr[i] < r.nbr[j] }
-func (r csrRow) Swap(i, j int) {
+func (r *csrRow) Len() int           { return len(r.nbr) }
+func (r *csrRow) Less(i, j int) bool { return r.nbr[i] < r.nbr[j] }
+func (r *csrRow) Swap(i, j int) {
 	r.nbr[i], r.nbr[j] = r.nbr[j], r.nbr[i]
 	r.wt[i], r.wt[j] = r.wt[j], r.wt[i]
 }
@@ -366,55 +332,55 @@ func (r csrRow) Swap(i, j int) {
 // sortAndDedup sorts every CSR row and merges duplicate entries in
 // place, compacting the neighbor (and weight) arrays and recomputing
 // offsets and the edge count. Duplicate weighted edges keep the largest
-// distance; an all-1 weight array is dropped so distance-1 graphs
-// normalize to the unweighted representation. Called by constructors on
-// freshly filled rows.
+// distance. Called by FromEdgeStream on freshly filled rows.
 func (g *Graph) sortAndDedup() {
-	n := g.N()
+	offsets, neighbors, weights := g.offsets, g.neighbors, g.weights
+	var sorter csrRow
 	write := int32(0)
 	rowStart := int32(0)
-	maxWeight := int32(0)
-	for v := 0; v < n; v++ {
-		row := g.neighbors[rowStart:g.offsets[v+1]]
-		var wts []int32
-		if g.weights != nil {
-			wts = g.weights[rowStart:g.offsets[v+1]]
-			sort.Sort(csrRow{nbr: row, wt: wts})
-		} else {
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+	for v := 1; v < len(offsets); v++ {
+		end := offsets[v]
+		if end-rowStart < 2 && write == rowStart {
+			// Nothing has moved yet, and a row this short needs no
+			// sorting or merging: it stays where it is.
+			write, rowStart = end, end
+			continue
 		}
-		rowStart = g.offsets[v+1]
+		row := neighbors[rowStart:end]
+		var wts []int32
+		if weights != nil {
+			wts = weights[rowStart:end]
+		}
+		if len(row) > 1 {
+			if wts == nil {
+				slices.Sort(row)
+			} else {
+				sorter.nbr, sorter.wt = row, wts
+				sort.Sort(&sorter)
+			}
+		}
+		rowStart = end
 		// Compact left; write never passes the current row's original
 		// start, so reads stay ahead of writes.
 		for i, u := range row {
 			if i > 0 && u == row[i-1] {
 				// Parallel edge: keep the tighter (larger) distance.
-				if wts != nil && wts[i] > g.weights[write-1] {
-					g.weights[write-1] = wts[i]
-					if wts[i] > maxWeight {
-						maxWeight = wts[i]
-					}
+				if wts != nil && wts[i] > weights[write-1] {
+					weights[write-1] = wts[i]
 				}
 				continue
 			}
-			g.neighbors[write] = u
+			neighbors[write] = u
 			if wts != nil {
-				g.weights[write] = wts[i]
-				if wts[i] > maxWeight {
-					maxWeight = wts[i]
-				}
+				weights[write] = wts[i]
 			}
 			write++
 		}
-		g.offsets[v+1] = write
+		offsets[v] = write
 	}
-	g.neighbors = g.neighbors[:write]
-	if g.weights != nil {
-		if maxWeight <= 1 {
-			g.weights = nil // distance-1 normal form
-		} else {
-			g.weights = g.weights[:write]
-		}
+	g.neighbors = neighbors[:write]
+	if weights != nil {
+		g.weights = weights[:write]
 	}
 	g.m = int(write) / 2
 }

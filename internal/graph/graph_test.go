@@ -36,11 +36,9 @@ func TestBasicOperations(t *testing.T) {
 	if len(nb) != 2 || nb[0] != 0 || nb[1] != 2 {
 		t.Fatalf("Neighbors(1) = %v", nb)
 	}
-	if v := b.AddVertex(); v != 4 || b.N() != 5 {
-		t.Fatalf("AddVertex gave %d, N=%d", v, b.N())
-	}
-	if g.N() != 4 {
-		t.Fatal("Freeze result mutated by later builder growth")
+	b.AddEdge(2, 3)
+	if g.M() != 2 || g.Degree(3) != 0 {
+		t.Fatal("Freeze result mutated by a later AddEdge")
 	}
 }
 
@@ -90,11 +88,11 @@ func TestForEachEdgeSortedAndComplete(t *testing.T) {
 }
 
 func TestFromEdgeStreamMergesDuplicates(t *testing.T) {
-	g := FromEdgeStream(4, func(emit func(u, v int)) {
-		emit(0, 1)
-		emit(1, 0) // same edge, flipped orientation
-		emit(2, 3)
-		emit(2, 3)
+	g := FromEdgeStream(4, func(emit func(u, v, d int)) {
+		emit(0, 1, 1)
+		emit(1, 0, 1) // same edge, flipped orientation
+		emit(2, 3, 1)
+		emit(2, 3, 1)
 	})
 	if g.M() != 2 || !g.HasEdge(0, 1) || !g.HasEdge(2, 3) {
 		t.Fatalf("M=%d", g.M())
@@ -110,7 +108,43 @@ func TestFromEdgeStreamSelfLoopPanics(t *testing.T) {
 			t.Fatal("expected panic on self-loop")
 		}
 	}()
-	FromEdgeStream(2, func(emit func(u, v int)) { emit(1, 1) })
+	FromEdgeStream(2, func(emit func(u, v, d int)) { emit(1, 1, 1) })
+}
+
+// TestFromEdgeStreamChangedStreamPanics checks that a stream whose
+// second pass differs from its first panics instead of yielding a
+// wrong graph, also when every vertex keeps its degree.
+func TestFromEdgeStreamChangedStreamPanics(t *testing.T) {
+	type e = weightedEdge
+	cases := []struct {
+		name          string
+		first, second []e
+	}{
+		{"same degrees, other edges", []e{{0, 1, 1}, {2, 3, 1}}, []e{{0, 2, 1}, {1, 3, 1}}},
+		{"extra edge", []e{{0, 1, 1}, {2, 3, 1}}, []e{{0, 1, 1}, {2, 3, 1}, {0, 1, 1}}},
+		{"missing edge", []e{{0, 1, 1}, {2, 3, 1}}, []e{{0, 1, 1}}},
+		{"other distance", []e{{0, 1, 1}, {2, 3, 2}}, []e{{0, 1, 2}, {2, 3, 2}}},
+		{"distance 1 becomes 2", []e{{0, 1, 1}}, []e{{0, 1, 2}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "changed between passes") {
+					t.Fatalf("recovered %v, want a changed-stream panic", r)
+				}
+			}()
+			pass := 0
+			FromEdgeStream(4, func(emit func(u, v, d int)) {
+				edges := tc.first
+				if pass++; pass == 2 {
+					edges = tc.second
+				}
+				for _, ed := range edges {
+					emit(ed.u, ed.v, ed.d)
+				}
+			})
+		})
+	}
 }
 
 func TestMaxDegreeAndNeighborSum(t *testing.T) {
@@ -120,22 +154,6 @@ func TestMaxDegreeAndNeighborSum(t *testing.T) {
 	}
 	if s := g.NeighborDegreeSum(0); s != 9 {
 		t.Fatalf("K4 neighbor degree sum = %d, want 9", s)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.Labels = []string{"a", "b"}
-	g := b.Freeze()
-	c := g.Clone()
-	c.Labels[0] = "z"
-	c.neighbors[0] = 3
-	if g.Labels[0] != "a" || g.neighbors[0] != 1 {
-		t.Fatal("clone shares storage with original")
-	}
-	if c.Label(1) != "b" || c.Label(4) != "v4" {
-		t.Fatalf("labels wrong: %q %q", c.Label(1), c.Label(4))
 	}
 }
 

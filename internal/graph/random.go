@@ -20,10 +20,10 @@ func Random(rng *rand.Rand, n int, p float64) *Graph {
 // Complete returns the complete graph K_n, whose chromatic number is
 // exactly n — a useful hard case for unsatisfiability tests.
 func Complete(n int) *Graph {
-	return FromEdgeStream(n, func(emit func(u, v int)) {
+	return FromEdgeStream(n, func(emit func(u, v, d int)) {
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				emit(u, v)
+				emit(u, v, 1)
 			}
 		}
 	})
@@ -35,9 +35,9 @@ func Cycle(n int) *Graph {
 	if n < 3 {
 		panic("graph: cycle needs at least 3 vertices")
 	}
-	return FromEdgeStream(n, func(emit func(u, v int)) {
+	return FromEdgeStream(n, func(emit func(u, v, d int)) {
 		for v := 0; v < n; v++ {
-			emit(v, (v+1)%n)
+			emit(v, (v+1)%n, 1)
 		}
 	})
 }

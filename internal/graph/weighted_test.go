@@ -74,40 +74,46 @@ func TestUnweightedAccessors(t *testing.T) {
 	}
 }
 
+// TestFromWeightedEdgeStreamMatchesBuilder checks weighted graphs,
+// streamed and built, against the map-based reference: repeated edges
+// with differing distances must merge to the larger one, and a stream
+// whose distances are all 1 must yield the unweighted form.
 func TestFromWeightedEdgeStreamMatchesBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	type e struct{ u, v, d int }
-	var edges []e
-	n := 30
-	for i := 0; i < 120; i++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v {
-			continue
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(30)
+		maxD := 1 + trial%4 // every fourth trial is all distance 1
+		var edges []weightedEdge
+		ref := newRef(n)
+		b := NewBuilder(n)
+		for i := 0; i < rng.Intn(4*n); i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			e := weightedEdge{u, v, 1 + rng.Intn(maxD)}
+			edges = append(edges, e)
+			if rng.Intn(3) == 0 { // a repeat, flipped, at another distance
+				edges = append(edges, weightedEdge{v, u, 1 + rng.Intn(maxD)})
+			}
 		}
-		edges = append(edges, e{u, v, 1 + rng.Intn(4)})
-	}
-	gs := FromWeightedEdgeStream(n, func(emit func(u, v, d int)) {
-		for _, ed := range edges {
-			emit(ed.u, ed.v, ed.d)
+		for _, e := range edges {
+			ref.addEdge(e.u, e.v, e.d)
+			b.AddWeightedEdge(e.u, e.v, e.d)
 		}
-	})
-	b := NewBuilder(n)
-	for _, ed := range edges {
-		b.AddWeightedEdge(ed.u, ed.v, ed.d)
-	}
-	gb := b.Freeze()
-	if gs.N() != gb.N() || gs.M() != gb.M() || gs.Weighted() != gb.Weighted() {
-		t.Fatalf("stream %d/%d/%v vs builder %d/%d/%v",
-			gs.N(), gs.M(), gs.Weighted(), gb.N(), gb.M(), gb.Weighted())
-	}
-	ls, lb := weightedEdgeList(gs), weightedEdgeList(gb)
-	for i := range ls {
-		if ls[i] != lb[i] {
-			t.Fatalf("edge %d: stream %v vs builder %v", i, ls[i], lb[i])
-		}
+		g := FromEdgeStream(n, func(emit func(u, v, d int)) {
+			for _, e := range edges {
+				emit(e.u, e.v, e.d)
+			}
+		})
+		checkAgainstRef(t, g, ref)
+		checkAgainstRef(t, b.Freeze(), ref)
 	}
 }
 
+// TestWeightedCloneAndBytes checks that Bytes counts the weight array
+// and that freezing a builder again yields a copy that shares no
+// storage with the first graph.
 func TestWeightedCloneAndBytes(t *testing.T) {
 	b := NewBuilder(3)
 	b.AddWeightedEdge(0, 1, 2)
@@ -117,9 +123,10 @@ func TestWeightedCloneAndBytes(t *testing.T) {
 	if g.Bytes() != unweightedBytes+4*2*g.M() {
 		t.Fatalf("Bytes=%d does not account for the weight array", g.Bytes())
 	}
-	c := g.Clone()
-	if !c.Weighted() || c.EdgeWeight(1, 2) != 3 {
-		t.Fatal("Clone dropped weights")
+	c := b.Freeze()
+	c.neighbors[0], c.weights[0] = 2, 9
+	if !g.Weighted() || g.neighbors[0] != 1 || g.EdgeWeight(1, 2) != 3 || g.EdgeWeight(0, 1) != 2 {
+		t.Fatal("a second Freeze shares storage with the first")
 	}
 }
 

@@ -69,7 +69,8 @@ func TestBuildDeterministic(t *testing.T) {
 // TestRegistryBuildsPinned holds every registry instance to the exact
 // routing and conflict graph its calibrated RoutableW was measured on.
 // The digest covers each route (net, subnet index, end pins, segments)
-// and the graph (size, every CSR row with weights, labels).
+// and the graph (size, every CSR row with weights, and the label of
+// each vertex's route).
 func TestRegistryBuildsPinned(t *testing.T) {
 	want := map[string]string{
 		"alu2":      "bcb1634c2a7fa6f3fd7374ae95e8093ab8ccf2646b38122227c0f06d5d38f6c4",
@@ -106,7 +107,11 @@ func TestRegistryBuildsPinned(t *testing.T) {
 			}
 			fmt.Fprintln(h)
 		}
-		fmt.Fprintf(h, "l %q\n", g.Labels)
+		labels := make([]string, len(gr.Routes))
+		for i, r := range gr.Routes {
+			labels[i] = r.Label(gr.Netlist)
+		}
+		fmt.Fprintf(h, "l %q\n", labels)
 		if got := hex.EncodeToString(h.Sum(nil)); got != want[in.Name] {
 			t.Errorf("%s: build digest = %s, want %s", in.Name, got, want[in.Name])
 		}

@@ -225,10 +225,11 @@ func TestSolveAssumingContextCancel(t *testing.T) {
 		t.Skipf("instance solved before the deadline (%v); cannot exercise cancellation", st)
 	}
 	// The solver must remain usable: a later call with a fresh context
-	// is not poisoned by the earlier cancellation.
-	s2ctx := context.Background()
-	if st := s.Solve(s2ctx, lit(1)); st == Unknown {
-		t.Fatal("solver stayed cancelled after an expired context")
+	// is not poisoned by the earlier cancellation. Contradictory
+	// assumptions answer Unsat at once, where a cancellation that stuck
+	// would still answer Unknown.
+	if st := s.Solve(context.Background(), lit(1), lit(1).Neg()); st != Unsat {
+		t.Fatalf("got %v after an expired context, want Unsat", st)
 	}
 }
 

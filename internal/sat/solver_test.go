@@ -317,7 +317,7 @@ func TestGeometricRestartsSolve(t *testing.T) {
 func TestLearntLimitClampedAcrossRestarts(t *testing.T) {
 	const limit = 100
 	s := New(Options{LearntLimit: limit, RestartBase: 10})
-	s.Load(php(9, 8))
+	s.Load(php(7, 6))
 	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
@@ -336,7 +336,7 @@ func TestLearntLimitClampedAcrossRestarts(t *testing.T) {
 // the threshold drifting out of reach.
 func TestLearntLimitKeepsDeletionActive(t *testing.T) {
 	s := New(Options{LearntLimit: 50, RestartBase: 10})
-	s.Load(php(9, 8))
+	s.Load(php(7, 6))
 	if st := s.Solve(context.Background()); st != Unsat {
 		t.Fatalf("got %v, want Unsat", st)
 	}
