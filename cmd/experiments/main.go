@@ -10,6 +10,7 @@
 //
 //	experiments -table1 -figure1 -table2 -routable -portfolio -sizes
 //	experiments -all [-timeout 60s] [-quick] [-v]
+//	experiments -portfolio -bench-out BENCH_portfolio.json
 //	experiments -calibrate [-metrics-out m.json]
 //	experiments -seedscan -timeout 30s
 //	experiments -export DIR
@@ -46,7 +47,7 @@ func run() (status int) {
 		figure1    = flag.Bool("figure1", false, "reproduce Figure 1 (ITE trees for 13 values)")
 		table2     = flag.Bool("table2", false, "reproduce Table 2 (unroutable configurations)")
 		routable   = flag.Bool("routable", false, "reproduce the routable-configuration comparison")
-		portfolio  = flag.Bool("portfolio", false, "reproduce the portfolio study")
+		portfolio  = flag.Bool("portfolio", false, "portfolio study: six lane sets, clause sharing among them, at seven portfolio seeds")
 		sizes      = flag.Bool("sizes", false, "encoding-size ablation")
 		solvers    = flag.Bool("solvers", false, "solver-profile comparison (siege vs MiniSat analog)")
 		trees      = flag.Bool("trees", false, "ITE-tree shape ablation")
@@ -60,15 +61,7 @@ func run() (status int) {
 		metricsOut = flag.String("metrics-out", "", "write the metrics snapshot as JSON to this file")
 		instances  = flag.String("instances", "", "load benchmark instances from a registry file instead of the built-in table")
 		verify     = flag.Bool("verify", false, "paranoid mode: re-verify Sat answers and replay Unsat answers in portfolio runs")
-		laneTO     = flag.Duration("lane-timeout", 0, "per-lane watchdog timeout for portfolio runs (0 = none)")
-		maxRetries = flag.Int("max-retries", 0, "budgeted-retry attempts per portfolio lane (0 = no retry)")
-		shareCmp   = flag.Bool("share", false, "clause-sharing study: blind vs cooperating replicated-lane portfolio")
-		shareLBD   = flag.Int("share-lbd", 4, "with -share: export only learnt clauses with LBD at most this")
-		shareMax   = flag.Int("share-max", 8, "with -share: export only learnt clauses with at most this many literals")
-		shareLanes = flag.Int("share-lanes", 2, "with -share: same-strategy lanes per run")
-		seed       = flag.Int64("seed", 1, "lane diversification seed for the -share study")
-		shareReps  = flag.Int("share-repeats", 1, "with -share: repeat each (instance, mode) run over seeds seed..seed+N-1 and sum wall clock")
-		benchOut   = flag.String("bench-out", "", "with one of -share, -scale or -bandwidth: write the study as JSON to this file (BENCH_portfolio.json / BENCH_scale.json / BENCH_bandwidth.json format)")
+		benchOut   = flag.String("bench-out", "", "with one of -portfolio, -scale or -bandwidth: write the study as JSON to this file (BENCH_portfolio.json / BENCH_scale.json / BENCH_bandwidth.json format)")
 		scaleRun   = flag.Bool("scale", false, "scaling study: generate and encode tile-templated instances far beyond the MCNC suite")
 		scaleFacts = flag.String("scale-factors", "1,10,100", "with -scale: comma-separated scale multipliers")
 		scaleEnc   = flag.String("scale-encoding", "", "with -scale: encoding to stream (default ITE-linear-2+muldirect)")
@@ -80,21 +73,21 @@ func run() (status int) {
 	flag.Parse()
 	if *all {
 		*table1, *figure1, *table2, *routable, *portfolio = true, true, true, true, true
-		*sizes, *solvers, *trees, *symAbl, *baselines, *shareCmp, *scaleRun, *bandwidth = true, true, true, true, true, true, true, true
+		*sizes, *solvers, *trees, *symAbl, *baselines, *scaleRun, *bandwidth = true, true, true, true, true, true, true
 	}
 	if !*table1 && !*figure1 && !*table2 && !*routable && !*portfolio && !*sizes && !*solvers && !*trees &&
-		!*symAbl && !*baselines && !*shareCmp && !*scaleRun && !*bandwidth && !*calibrate && !*seedScan && *exportDir == "" {
+		!*symAbl && !*baselines && !*scaleRun && !*bandwidth && !*calibrate && !*seedScan && *exportDir == "" {
 		flag.Usage()
 		return 2
 	}
 	benchStudies := 0
-	for _, on := range []bool{*shareCmp, *scaleRun, *bandwidth} {
+	for _, on := range []bool{*portfolio, *scaleRun, *bandwidth} {
 		if on {
 			benchStudies++
 		}
 	}
 	if *benchOut != "" && benchStudies > 1 {
-		log.Print("-bench-out records one study: select only one of -share, -scale and -bandwidth")
+		log.Print("-bench-out records one study: select only one of -portfolio, -scale and -bandwidth")
 		return 2
 	}
 	var factors []int
@@ -208,26 +201,12 @@ func run() (status int) {
 	}
 	if *portfolio {
 		r, err := experiments.RunPortfolio(experiments.PortfolioConfig{
-			Instances: insts, Timeout: *timeout, Progress: progress, Obs: reg, Pool: pool,
-			Verify: *verify, LaneTimeout: *laneTO, MaxRetries: *maxRetries,
+			Instances: insts, Timeout: *timeout, Progress: progress, Obs: reg, Pool: pool, Verify: *verify,
 		})
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Println(r.Markdown())
-	}
-	if *shareCmp {
-		r, err := experiments.RunShareComparison(experiments.ShareCompareConfig{
-			Instances: insts, Lanes: *shareLanes, Seed: *seed, Repeats: *shareReps,
-			Share:   fpgasat.ShareOptions{MaxLBD: int32(*shareLBD), MaxSize: *shareMax},
-			Timeout: *timeout, Progress: progress, Pool: pool,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(r.Markdown())
-		fmt.Printf("Sharing improved wall clock on %d of %d instances (total %.2f×).\n\n",
-			r.Improved(), len(r.Rows), r.TotalSpeedup)
 		if err := writeBench(r.Report()); err != nil {
 			return fail(err)
 		}

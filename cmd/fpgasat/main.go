@@ -87,8 +87,6 @@ func run() (status int) {
 		laneTimeout  = flag.Duration("lane-timeout", 0, "per-lane attempt timeout and watchdog grace period for -portfolio (0 = none)")
 		maxRetries   = flag.Int("max-retries", 0, "re-run a budget-exhausted portfolio lane up to this many times with escalated budgets")
 		shareOn      = flag.Bool("share", false, "with -portfolio: replicate each strategy into -share-lanes seeded lanes exchanging learnt clauses")
-		shareLBD     = flag.Int("share-lbd", 4, "with -share: export only learnt clauses with LBD at most this")
-		shareMax     = flag.Int("share-max", 8, "with -share: export only learnt clauses with at most this many literals")
 		shareLanes   = flag.Int("share-lanes", 2, "with -share: same-strategy lanes per portfolio member")
 		seed         = flag.Int64("seed", 0, "diversification seed for -portfolio lanes (0 = unseeded; -share defaults it to 1)")
 	)
@@ -194,7 +192,7 @@ func run() (status int) {
 			Seed:        *seed,
 		}
 		if *shareOn {
-			opts.Share = &fpgasat.ShareOptions{MaxLBD: int32(*shareLBD), MaxSize: *shareMax}
+			opts.Share = &fpgasat.ShareOptions{}
 		}
 		err = runPortfolio(gr, g, *w, *timeout, *tracks, *shareLanes, opts)
 	default:
@@ -300,7 +298,7 @@ func routed(gr *fpga.GlobalRouting, colors []int, w int, tracks bool, by string)
 	}
 	fmt.Printf("ROUTABLE with W=%d tracks (%s)\n", w, by)
 	if tracks {
-		printTracks(dr)
+		fmt.Print(fpga.RenderTracks(dr))
 	}
 	return nil
 }
@@ -439,13 +437,6 @@ func findMinimum(g *graph.Graph, s core.Strategy, timeout time.Duration) error {
 	return nil
 }
 
-func printTracks(dr *fpga.DetailedRouting) {
-	for i, r := range dr.Global.Routes {
-		fmt.Printf("  %-12s track %d  (%d connection blocks)\n",
-			r.Label(dr.Global.Netlist), dr.Tracks[i], len(r.Segs))
-	}
-}
-
 // loadExternal reads a netlist file and either a companion global-
 // routing file or computes a fresh global routing.
 func loadExternal(netPath, rtPath string) (*fpga.GlobalRouting, error) {
@@ -483,7 +474,7 @@ func readGraph(path string) (*graph.Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	g, err := graph.ParseDIMACS(f)
+	g, err := graph.ParseDIMACS(f, graph.MaxParseVertices)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -420,8 +420,11 @@ func WriteGraphDIMACS(w io.Writer, g *Graph, comments ...string) error {
 	return graph.WriteDIMACS(w, g, comments...)
 }
 
-// ParseGraphDIMACS reads a DIMACS edge-format graph.
-func ParseGraphDIMACS(r io.Reader) (*Graph, error) { return graph.ParseDIMACS(r) }
+// ParseGraphDIMACS reads a DIMACS edge-format graph of at most
+// graph.MaxParseVertices vertices.
+func ParseGraphDIMACS(r io.Reader) (*Graph, error) {
+	return graph.ParseDIMACS(r, graph.MaxParseVertices)
+}
 
 // WriteCNFDIMACS writes a formula in DIMACS CNF format.
 func WriteCNFDIMACS(w io.Writer, c *CNF) error { return sat.WriteDIMACS(w, c) }

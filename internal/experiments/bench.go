@@ -21,7 +21,7 @@ const BenchSchema = "fpgasat-bench/v1"
 type BenchReport struct {
 	// Schema is always BenchSchema.
 	Schema string `json:"schema"`
-	// Bench names the study ("scale", "portfolio.share", "bandwidth").
+	// Bench names the study ("scale", "portfolio", "bandwidth").
 	Bench string `json:"bench"`
 	// Meta records when and how the study ran.
 	Meta BenchMeta `json:"meta"`

@@ -21,7 +21,7 @@ func TestCommittedBenchArtifactsShareSchema(t *testing.T) {
 	}
 	want := map[string]string{
 		"BENCH_scale.json":     "scale",
-		"BENCH_portfolio.json": "portfolio.share",
+		"BENCH_portfolio.json": "portfolio",
 		"BENCH_bandwidth.json": "bandwidth",
 	}
 	seen := map[string]bool{}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -201,25 +202,44 @@ func TestGridCalibrationBroken(t *testing.T) {
 	}
 }
 
-// TestPortfolioSmoke runs the portfolio study on two instances. Its
-// three columns race through one portfolio.Run loop, so each instance
-// crowns three winners, the single strategy's one-lane run included.
+// TestPortfolioSmoke runs the portfolio study on two instances. Every
+// column races through one portfolio.Run loop at each portfolio seed,
+// so each instance crowns one winner per column and seed, the single
+// strategy's one-lane runs included, and only the sharing column's
+// lanes import clauses.
 func TestPortfolioSmoke(t *testing.T) {
 	reg := obs.NewRegistry()
+	// The -quick pair: its refutations run long enough for two lanes
+	// to exchange clauses even on one CPU.
 	r, err := RunPortfolio(PortfolioConfig{
-		Instances: quickInstances(t),
+		Instances: mcnc.Table2Instances()[:2],
 		Timeout:   2 * time.Minute,
 		Obs:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Instances) != 2 || len(r.Columns) != 3 {
-		t.Fatalf("result shape: %+v", r)
+	if len(r.Instances) != 2 || len(r.Columns) != 6 {
+		t.Fatalf("result shape: %d instances, %d columns", len(r.Instances), len(r.Columns))
 	}
 	for ci, c := range r.Columns {
-		if len(c.Times) != 2 || len(c.Winners) != 2 || c.Total <= 0 || r.Speedup(ci) <= 0 {
-			t.Fatalf("column %s: %+v", c.Name, c)
+		if len(c.Cells) != len(r.Instances) || r.Speedup(ci) <= 0 {
+			t.Fatalf("column %s: %d instances, speedup %v", c.Name, len(c.Cells), r.Speedup(ci))
+		}
+		var imported int64
+		for _, cells := range c.Cells {
+			if len(cells) != PortfolioSeeds {
+				t.Fatalf("column %s: %d seeds, want %d", c.Name, len(cells), PortfolioSeeds)
+			}
+			for _, cell := range cells {
+				if cell.Wall <= 0 || cell.Winner < 0 || cell.Winner >= len(c.Members) {
+					t.Fatalf("column %s: cell %+v", c.Name, cell)
+				}
+				imported += cell.Imported
+			}
+		}
+		if c.Share != (imported > 0) {
+			t.Errorf("column %s (share %v) imported %d clauses", c.Name, c.Share, imported)
 		}
 	}
 	var wins int64
@@ -228,11 +248,27 @@ func TestPortfolioSmoke(t *testing.T) {
 			wins += n
 		}
 	}
-	if wins != 3*int64(len(r.Instances)) {
-		t.Errorf("%s.* counters sum to %d, want 3 per instance", portfolio.MetricWins, wins)
+	if want := int64(len(r.Columns) * PortfolioSeeds * len(r.Instances)); wins != want {
+		t.Errorf("%s.* counters sum to %d, want %d", portfolio.MetricWins, wins, want)
 	}
 	if !strings.Contains(r.Markdown(), "Portfolio study") {
 		t.Error("markdown missing header")
+	}
+	var buf bytes.Buffer
+	if err := r.Report().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ParseBenchReport(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bench != "portfolio" {
+		t.Fatalf("bench %q, want portfolio", rep.Bench)
+	}
+	for _, s := range rep.Series {
+		if want := len(r.Instances) * len(r.Columns) * PortfolioSeeds; len(s.Points) != want {
+			t.Errorf("series %s: %d points, want %d", s.Name, len(s.Points), want)
+		}
 	}
 }
 

@@ -103,7 +103,7 @@ func TestExportRoundTrip(t *testing.T) {
 		t.Cleanup(func() { f.Close() })
 		return f
 	}
-	g, err := graph.ParseDIMACS(open(".col"))
+	g, err := graph.ParseDIMACS(open(".col"), graph.MaxParseVertices)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,20 @@ func WriteNetlist(w io.Writer, nl *Netlist) error {
 	return bw.Flush()
 }
 
-// ParseNetlist reads the text format written by WriteNetlist.
+// Caps on a netlist read from outside the program, enforced by
+// ParseNetlist and, on the generator's parameters, by
+// mcnc.ParseInstances. The router allocates about 68 bytes per channel
+// segment of a rows×cols array, and pins grow with nets × pins per
+// net, so a hostile or fuzzed file fails fast instead of exhausting
+// memory.
+const (
+	MaxArrayDim   = 256
+	MaxNets       = 100000
+	MaxPinsPerNet = 64
+)
+
+// ParseNetlist reads the text format written by WriteNetlist, within
+// the caps above.
 func ParseNetlist(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -70,6 +83,10 @@ func ParseNetlist(r io.Reader) (*Netlist, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("fpga: line %d: bad array size", line)
 			}
+			if cols < 1 || cols > MaxArrayDim || rows < 1 || rows > MaxArrayDim {
+				return nil, fmt.Errorf("fpga: line %d: array %dx%d outside [1,%d] on a side",
+					line, cols, rows, MaxArrayDim)
+			}
 			nl = &Netlist{Name: fields[1], Arch: Arch{Rows: rows, Cols: cols}}
 		case "net":
 			if nl == nil {
@@ -77,6 +94,12 @@ func ParseNetlist(r io.Reader) (*Netlist, error) {
 			}
 			if len(fields) < 2 || (len(fields)-2)%3 != 0 {
 				return nil, fmt.Errorf("fpga: line %d: malformed net line", line)
+			}
+			if len(nl.Nets) == MaxNets {
+				return nil, fmt.Errorf("fpga: line %d: more than %d nets", line, MaxNets)
+			}
+			if pins := (len(fields) - 2) / 3; pins > MaxPinsPerNet {
+				return nil, fmt.Errorf("fpga: line %d: %d pins, more than %d", line, pins, MaxPinsPerNet)
 			}
 			net := Net{Name: fields[1]}
 			for i := 2; i < len(fields); i += 3 {

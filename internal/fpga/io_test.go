@@ -88,12 +88,65 @@ func TestParseNetlistErrors(t *testing.T) {
 		"netlist a 3 3\nnet n 0 0 N 9 9 S\n", // off-array pin
 		"netlist a 3 3\nfrob\n",              // unknown directive
 		"",                                   // missing header
+		// Arrays and nets beyond the caps the instance registry also
+		// enforces; the first one used to panic in the router.
+		"netlist x 3037000499 3037000499\nnet a 0 0 N 1 1 S\n",
+		"netlist a 257 1\nnet n 0 0 N 1 0 N\n",
+		"netlist a 3 3\nnet n" + strings.Repeat(" 0 0 N", MaxPinsPerNet+1) + "\n",
+		"netlist a 3 3\n" + strings.Repeat("net n 0 0 N 1 1 S\n", MaxNets+1),
 	}
 	for _, in := range cases {
 		if _, err := ParseNetlist(strings.NewReader(in)); err == nil {
-			t.Errorf("input %q: expected error", in)
+			t.Errorf("input %.60q: expected error", in)
 		}
 	}
+}
+
+// FuzzParseNetlist feeds arbitrary netlist and routing text through
+// the parsers. Whatever they accept must validate, and a small
+// accepted netlist must route without a panic.
+func FuzzParseNetlist(f *testing.F) {
+	nl, err := Generate("fz", GenParams{Rows: 3, Cols: 3, NumNets: 4, MinPins: 2, MaxPins: 3, Locality: 2, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	gr, _, err := RouteGlobal(nl, RouteOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var netText, routeText bytes.Buffer
+	if err := WriteNetlist(&netText, nl); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteRouting(&routeText, gr); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(netText.String(), routeText.String())
+	f.Add("netlist m 2 2\nnet a 0 0 S 1 0 S\n", "routing m\nroute 0 0 0 0 S 1 0 S H(0,0) H(1,0)\n")
+	f.Add("netlist x 3037000499 3037000499\nnet a 0 0 N 1 1 S\n", "")
+	f.Fuzz(func(t *testing.T, netText, routeText string) {
+		nl, err := ParseNetlist(strings.NewReader(netText))
+		if err != nil {
+			return
+		}
+		if err := nl.Validate(); err != nil {
+			t.Fatalf("accepted netlist fails validation: %v", err)
+		}
+		if a := nl.Arch; a.Rows > MaxArrayDim || a.Cols > MaxArrayDim || len(nl.Nets) > MaxNets {
+			t.Fatalf("accepted netlist beyond the caps: %dx%d, %d nets", a.Cols, a.Rows, len(nl.Nets))
+		}
+		if gr, err := ParseRouting(strings.NewReader(routeText), nl); err == nil {
+			if err := gr.Validate(); err != nil {
+				t.Fatalf("accepted routing fails validation: %v", err)
+			}
+		}
+		if nl.Arch.Rows*nl.Arch.Cols > 64 || nl.NumPins() > 64 {
+			return
+		}
+		if _, _, err := RouteGlobal(nl, RouteOptions{}); err != nil {
+			t.Fatalf("accepted netlist does not route: %v", err)
+		}
+	})
 }
 
 func TestParseRoutingErrors(t *testing.T) {

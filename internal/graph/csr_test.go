@@ -178,7 +178,7 @@ func TestCSRMatchesBuilderReference(t *testing.T) {
 		if err := WriteDIMACS(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		h, err := ParseDIMACS(&buf)
+		h, err := ParseDIMACS(&buf, MaxParseVertices)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestParseDIMACSHeaderCostsOnlyOffsets(t *testing.T) {
 	const n = 1 << 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g, err := ParseDIMACS(strings.NewReader(fmt.Sprintf("p edge %d 0\n", n)))
+	g, err := ParseDIMACS(strings.NewReader(fmt.Sprintf("p edge %d 0\n", n)), MaxParseVertices)
 	runtime.ReadMemStats(&after)
 	if err != nil || g.N() != n {
 		t.Fatalf("ParseDIMACS: %v", err)

@@ -8,20 +8,19 @@ import (
 	"strings"
 )
 
-// MaxParseVertices caps the vertex count ParseDIMACS accepts. The
+// MaxParseVertices is the vertex limit for reading a DIMACS file. The
 // DIMACS header declares the vertex count before any edge appears, so
-// without a cap a one-line file ("p edge 1000000000 0") could commit
-// gigabytes before parsing a single edge. The default admits every
-// published .col benchmark with two orders of magnitude to spare;
-// callers that really load larger graphs can raise it.
-var MaxParseVertices = 1 << 25
+// without a limit a one-line file ("p edge 1000000000 0") could commit
+// gigabytes before parsing a single edge. This one admits every
+// published .col benchmark with two orders of magnitude to spare.
+const MaxParseVertices = 1 << 25
 
 // MaxParseDistance caps the per-edge distance ParseDIMACS accepts in
 // the weighted extension ("e u v d" lines). Distances beyond the color
 // domain are clamped by the encoders anyway, so a huge value only
 // inflates clause counts; the cap keeps hostile inputs from requesting
 // absurd windows.
-var MaxParseDistance = 1 << 20
+const MaxParseDistance = 1 << 20
 
 // WriteDIMACS writes the graph in the DIMACS edge format used by the
 // graph-coloring benchmark collections ("p edge N M" header, "e u v"
@@ -66,13 +65,13 @@ func WriteDIMACS(w io.Writer, g *Graph, comments ...string) error {
 // weights in some collections) are skipped. Edge lines may carry an
 // optional fourth field — the bandwidth-coloring distance d >= 1
 // ("e u v d"), bounded by MaxParseDistance — and a file whose distances
-// are all 1 parses to a plain unweighted graph. The declared vertex
-// count is validated against MaxParseVertices, storage grows with the
+// are all 1 parses to a plain unweighted graph. A declared vertex
+// count above maxVertices is an error, storage grows with the
 // edge lines read (the CSR offsets for the declared count are allocated
 // once, at the end), and the number of edge lines read must match the
 // edge count the header declared — a mismatch is an input error, not a
 // silently wrong graph.
-func ParseDIMACS(r io.Reader) (*Graph, error) {
+func ParseDIMACS(r io.Reader, maxVertices int) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	var b *Builder
@@ -100,9 +99,9 @@ func ParseDIMACS(r io.Reader) (*Graph, error) {
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad vertex count", line)
 			}
-			if n > MaxParseVertices {
+			if n > maxVertices {
 				return nil, fmt.Errorf("graph: line %d: declared vertex count %d exceeds limit %d",
-					line, n, MaxParseVertices)
+					line, n, maxVertices)
 			}
 			m, err := strconv.Atoi(fields[3])
 			if err != nil || m < 0 {

@@ -27,7 +27,7 @@ func FuzzParseDIMACSGraph(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ParseDIMACS(bytes.NewReader(data))
+		g, err := ParseDIMACS(bytes.NewReader(data), MaxParseVertices)
 		if err != nil {
 			return
 		}
@@ -62,7 +62,7 @@ func FuzzParseDIMACSGraph(f *testing.F) {
 		if err := WriteDIMACS(&buf, g); err != nil {
 			t.Fatalf("WriteDIMACS: %v", err)
 		}
-		h, err := ParseDIMACS(strings.NewReader(buf.String()))
+		h, err := ParseDIMACS(strings.NewReader(buf.String()), MaxParseVertices)
 		if err != nil {
 			t.Fatalf("round-trip parse failed: %v\n%s", err, buf.String())
 		}
@@ -100,7 +100,7 @@ func FuzzParseWeightedDIMACS(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ParseDIMACS(bytes.NewReader(data))
+		g, err := ParseDIMACS(bytes.NewReader(data), MaxParseVertices)
 		if err != nil {
 			return
 		}
@@ -127,7 +127,7 @@ func FuzzParseWeightedDIMACS(f *testing.F) {
 		if err := WriteDIMACS(&buf, g); err != nil {
 			t.Fatalf("WriteDIMACS: %v", err)
 		}
-		h, err := ParseDIMACS(strings.NewReader(buf.String()))
+		h, err := ParseDIMACS(strings.NewReader(buf.String()), MaxParseVertices)
 		if err != nil {
 			t.Fatalf("round-trip parse failed: %v\n%s", err, buf.String())
 		}

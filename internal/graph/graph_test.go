@@ -194,7 +194,7 @@ func TestDIMACSRoundtripProperty(t *testing.T) {
 		if err := WriteDIMACS(&buf, g, "test graph"); err != nil {
 			return false
 		}
-		h, err := ParseDIMACS(&buf)
+		h, err := ParseDIMACS(&buf, MaxParseVertices)
 		if err != nil {
 			return false
 		}
@@ -230,7 +230,7 @@ func TestParseDIMACSErrors(t *testing.T) {
 		"p edge 3 1\ne 1 2\ne 2 3\n", // more edges than declared
 	}
 	for _, in := range cases {
-		if _, err := ParseDIMACS(strings.NewReader(in)); err == nil {
+		if _, err := ParseDIMACS(strings.NewReader(in), MaxParseVertices); err == nil {
 			t.Errorf("input %q: expected error", in)
 		}
 	}
@@ -240,14 +240,14 @@ func TestParseDIMACSErrors(t *testing.T) {
 // test: a header declaring a billion vertices must fail fast instead of
 // committing the adjacency for it.
 func TestParseDIMACSHugeHeaderRejected(t *testing.T) {
-	_, err := ParseDIMACS(strings.NewReader("p edge 1000000000 0\n"))
+	_, err := ParseDIMACS(strings.NewReader("p edge 1000000000 0\n"), MaxParseVertices)
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("err = %v, want vertex-count limit error", err)
 	}
 }
 
 func TestParseDIMACSEdgeCountMismatch(t *testing.T) {
-	_, err := ParseDIMACS(strings.NewReader("p edge 3 2\ne 1 2\n"))
+	_, err := ParseDIMACS(strings.NewReader("p edge 3 2\ne 1 2\n"), MaxParseVertices)
 	if err == nil || !strings.Contains(err.Error(), "declared 2 edges") {
 		t.Fatalf("err = %v, want declared-edge-count mismatch", err)
 	}
@@ -255,7 +255,7 @@ func TestParseDIMACSEdgeCountMismatch(t *testing.T) {
 
 func TestParseDIMACSSkipsNLines(t *testing.T) {
 	in := "c hello\np edge 3 1\nn 1 5\ne 1 2\n"
-	g, err := ParseDIMACS(strings.NewReader(in))
+	g, err := ParseDIMACS(strings.NewReader(in), MaxParseVertices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestParseDIMACSNeverPanics(t *testing.T) {
 			buf[i] = alphabet[rng.Intn(len(alphabet))]
 		}
 		// Must not panic; errors are fine.
-		ParseDIMACS(bytes.NewReader(buf))
+		ParseDIMACS(bytes.NewReader(buf), MaxParseVertices)
 	}
 }
 

@@ -140,7 +140,7 @@ func TestWeightedDIMACSRoundTrip(t *testing.T) {
 	if err := WriteDIMACS(&buf, g, "weighted round trip"); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ParseDIMACS(strings.NewReader(buf.String()))
+	h, err := ParseDIMACS(strings.NewReader(buf.String()), MaxParseVertices)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
@@ -165,11 +165,11 @@ func TestParseWeightedDIMACSValidation(t *testing.T) {
 		"p edge 3 2\ne 1 2 2\ne 1 2 2\n", // duplicates count as lines but merge
 	}
 	for _, src := range cases[:5] {
-		if _, err := ParseDIMACS(strings.NewReader(src)); err == nil {
+		if _, err := ParseDIMACS(strings.NewReader(src), MaxParseVertices); err == nil {
 			t.Errorf("accepted %q", src)
 		}
 	}
-	g, err := ParseDIMACS(strings.NewReader(cases[5]))
+	g, err := ParseDIMACS(strings.NewReader(cases[5]), MaxParseVertices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestParseWeightedDIMACSValidation(t *testing.T) {
 		t.Fatalf("duplicate weighted edges mishandled: M=%d w=%d", g.M(), g.EdgeWeight(0, 1))
 	}
 	// All-1 explicit distances parse to the unweighted normal form.
-	g, err = ParseDIMACS(strings.NewReader("p edge 3 2\ne 1 2 1\ne 2 3 1\n"))
+	g, err = ParseDIMACS(strings.NewReader("p edge 3 2\ne 1 2 1\ne 2 3 1\n"), MaxParseVertices)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,16 +26,13 @@ import (
 	"fpgasat/internal/robust"
 )
 
-// Generator parameter caps enforced by ParseInstances. They bound the
+// MaxCapacity caps a parsed instance's channel capacity and width.
+// With fpga.MaxArrayDim, fpga.MaxNets and fpga.MaxPinsPerNet, which
+// ParseInstances enforces on the generator's parameters, it bounds the
 // work a parsed registry can demand (the generator allocates
 // O(rows·cols·capacity) routing resources and O(nets·maxpins) pins),
 // so a hostile or fuzzed file fails fast instead of exhausting memory.
-const (
-	MaxArrayDim   = 256
-	MaxNets       = 100000
-	MaxPinsPerNet = 64
-	MaxCapacity   = 256
-)
+const MaxCapacity = 256
 
 // ParseInstances reads an instance registry. source names the input in
 // errors (typically the file path). The returned instances are
@@ -132,18 +129,18 @@ func validateInstance(in Instance) error {
 	switch {
 	case in.Name == "":
 		return fmt.Errorf("empty name")
-	case in.Gen.Rows < 1 || in.Gen.Rows > MaxArrayDim:
-		return fmt.Errorf("rows %d outside [1,%d]", in.Gen.Rows, MaxArrayDim)
-	case in.Gen.Cols < 1 || in.Gen.Cols > MaxArrayDim:
-		return fmt.Errorf("cols %d outside [1,%d]", in.Gen.Cols, MaxArrayDim)
-	case in.Gen.NumNets < 1 || in.Gen.NumNets > MaxNets:
-		return fmt.Errorf("nets %d outside [1,%d]", in.Gen.NumNets, MaxNets)
-	case in.Gen.MinPins < 2 || in.Gen.MinPins > MaxPinsPerNet:
-		return fmt.Errorf("minpins %d outside [2,%d]", in.Gen.MinPins, MaxPinsPerNet)
-	case in.Gen.MaxPins < in.Gen.MinPins || in.Gen.MaxPins > MaxPinsPerNet:
-		return fmt.Errorf("maxpins %d outside [minpins,%d]", in.Gen.MaxPins, MaxPinsPerNet)
-	case in.Gen.Locality < 1 || in.Gen.Locality > MaxArrayDim:
-		return fmt.Errorf("locality %d outside [1,%d]", in.Gen.Locality, MaxArrayDim)
+	case in.Gen.Rows < 1 || in.Gen.Rows > fpga.MaxArrayDim:
+		return fmt.Errorf("rows %d outside [1,%d]", in.Gen.Rows, fpga.MaxArrayDim)
+	case in.Gen.Cols < 1 || in.Gen.Cols > fpga.MaxArrayDim:
+		return fmt.Errorf("cols %d outside [1,%d]", in.Gen.Cols, fpga.MaxArrayDim)
+	case in.Gen.NumNets < 1 || in.Gen.NumNets > fpga.MaxNets:
+		return fmt.Errorf("nets %d outside [1,%d]", in.Gen.NumNets, fpga.MaxNets)
+	case in.Gen.MinPins < 2 || in.Gen.MinPins > fpga.MaxPinsPerNet:
+		return fmt.Errorf("minpins %d outside [2,%d]", in.Gen.MinPins, fpga.MaxPinsPerNet)
+	case in.Gen.MaxPins < in.Gen.MinPins || in.Gen.MaxPins > fpga.MaxPinsPerNet:
+		return fmt.Errorf("maxpins %d outside [minpins,%d]", in.Gen.MaxPins, fpga.MaxPinsPerNet)
+	case in.Gen.Locality < 1 || in.Gen.Locality > fpga.MaxArrayDim:
+		return fmt.Errorf("locality %d outside [1,%d]", in.Gen.Locality, fpga.MaxArrayDim)
 	case in.Route.Capacity < 1 || in.Route.Capacity > MaxCapacity:
 		return fmt.Errorf("capacity %d outside [1,%d]", in.Route.Capacity, MaxCapacity)
 	case in.RoutableW < 1 || in.RoutableW > MaxCapacity:

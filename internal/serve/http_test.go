@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -93,6 +94,30 @@ func TestHTTPSolveSyncUnroutable(t *testing.T) {
 	}
 	if v := decodeView(t, raw); v.Answer != AnswerUnroutable {
 		t.Fatalf("answer %q, want UNROUTABLE", v.Answer)
+	}
+}
+
+// TestHTTPInlineGraphVertexCap posts an 18-byte graph that declares
+// 2^25 vertices, whose CSR offsets alone would take 128 MiB. The
+// daemon must answer 400 without allocating them, and a request
+// without a width must fail on the width before the graph is parsed.
+func TestHTTPInlineGraphVertexCap(t *testing.T) {
+	_, ts := newHTTPServer(t, Options{})
+	const huge = "p edge 33554432 0"
+	for _, tc := range []struct {
+		width int
+		want  string
+	}{{3, "vertex count"}, {0, "width"}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code, raw := postSolve(t, ts, SolveRequest{Graph: huge, Width: tc.width})
+		runtime.ReadMemStats(&after)
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), tc.want) {
+			t.Errorf("width %d: status %d, body %s; want a 400 naming the %s", tc.width, code, raw, tc.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("width %d: rejecting the graph allocated %d bytes, want under 1 MiB", tc.width, alloc)
+		}
 	}
 }
 

@@ -38,8 +38,8 @@ type SolveRequest struct {
 	// cmd/fpgasat -list); Width 0 defaults to its calibrated routable
 	// width.
 	Instance string `json:"instance,omitempty"`
-	// Graph is an inline conflict graph in DIMACS edge (.col) format;
-	// it requires an explicit Width.
+	// Graph is an inline conflict graph in DIMACS edge (.col) format of
+	// at most MaxSubmitVertices vertices; it requires an explicit Width.
 	Graph string `json:"graph,omitempty"`
 	// Width is the channel width W to decide routability at.
 	Width int `json:"width,omitempty"`

@@ -119,6 +119,12 @@ const (
 	// grow the variable count without changing routability on any
 	// realistic architecture.
 	MaxSubmitWidth = 1 << 16
+	// MaxSubmitVertices caps the declared vertex count of an inline
+	// graph. The header alone commits 4 bytes of CSR offsets per
+	// declared vertex, so an 18-byte body could otherwise cost 128 MiB.
+	// At the cap the offsets take 4 MiB, and it admits about 9× the
+	// 115k nets of the 100× scaled fabric.
+	MaxSubmitVertices = 1 << 20
 	// MaxSubmitLanes caps lane replication per job so one request
 	// cannot claim an unbounded slice of a shard's solver pool.
 	MaxSubmitLanes = 64
@@ -787,12 +793,12 @@ func (s *Server) resolveProblem(req *SolveRequest) (*graph.Graph, int, string, e
 		}
 		return ent.g, width, req.Instance, nil
 	case req.Graph != "":
-		g, err := graph.ParseDIMACS(strings.NewReader(req.Graph))
-		if err != nil {
-			return nil, 0, "", badRequest("parsing graph: %v", err)
-		}
 		if req.Width < 1 {
 			return nil, 0, "", badRequest("width must be >= 1 with an inline graph, got %d", req.Width)
+		}
+		g, err := graph.ParseDIMACS(strings.NewReader(req.Graph), MaxSubmitVertices)
+		if err != nil {
+			return nil, 0, "", badRequest("parsing graph: %v", err)
 		}
 		return g, req.Width, "", nil
 	default:

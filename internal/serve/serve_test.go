@@ -418,7 +418,7 @@ func TestInstanceCacheIsReused(t *testing.T) {
 	if e1.g != e2.g {
 		t.Error("second resolveInstance rebuilt the graph instead of using the cache")
 	}
-	if _, err := graph.ParseDIMACS(strings.NewReader(triangleCol)); err != nil {
+	if _, err := graph.ParseDIMACS(strings.NewReader(triangleCol), graph.MaxParseVertices); err != nil {
 		t.Fatal(err)
 	}
 }
