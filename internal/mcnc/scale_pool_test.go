@@ -12,15 +12,18 @@ import (
 )
 
 // TestScalePoolingDecision pins which solvers of the scale-minwidth
-// width searches a default sat.Pool keeps. The direct/s1 search of the
-// 10x fabric retains about 2.8M words and is pooled; the 30x one
-// retains about 8.5M, 1.3% above DefaultMaxRetainedWords (8,388,608),
-// and is dropped. A change that brings the 30x solver under the cap
-// keeps about 34 MB alive between searches, and one that lifts the 10x
-// solver over it rebuilds that solver on every search; either fails
-// here and must say so. Both orders run, since a 30x search that
-// follows a 10x one reuses the pooled 10x solver. The retained words
-// are logged from a run on an uncapped pool.
+// width searches a default sat.Pool keeps. The pool caps
+// ArenaStats.RetainedWords, which counts the per-variable and
+// per-literal tables as well as the clauses and lists. The direct/s1
+// search of the 10x fabric retains 5,159,676 words, 61.5% of
+// DefaultMaxRetainedWords (8,388,608), and is pooled; the 30x one
+// retains 15,591,086, 186% of it, and is dropped. A change that brings
+// the 30x solver under the cap keeps about 62 MB alive between
+// searches, and one that lifts the 10x solver over it rebuilds that
+// solver on every search; either fails here and must say so. Both
+// orders run, since a 30x search that follows a 10x one reuses the
+// pooled 10x solver. The log shows the clause and list words alone
+// (2,799,758 and 8,497,490), from a run on an uncapped pool.
 func TestScalePoolingDecision(t *testing.T) {
 	s, err := core.ParseStrategy("direct/s1")
 	if err != nil {

@@ -1,6 +1,9 @@
 package sat
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // This file implements the flat clause arena backing the solver's
 // clause database. Instead of one heap object per clause chased through
@@ -177,6 +180,8 @@ func (ca *clauseArena) forward(r ClauseRef) ClauseRef { return ca.data[r] }
 // therefore live) are relocated into a fresh arena and every watch and
 // arena reason reference is patched through the forwarding words.
 // Binary reasons hold a literal, not an offset, and stay as they are.
+// Only the watch lists some literal holds are patched: the others were
+// kept by a Reset and hold stale references that nothing reads.
 func (s *Solver) garbageCollect() {
 	ca := &s.ca
 	dst := make([]uint32, 0, len(ca.data)-ca.wasted)
@@ -186,8 +191,8 @@ func (s *Solver) garbageCollect() {
 	for i, r := range s.learnts {
 		s.learnts[i] = ca.relocate(&dst, r)
 	}
-	for l := range s.watches {
-		ws := s.watches[l]
+	for l := range s.watches.idx {
+		ws := *s.watches.list(Lit(l))
 		for i := range ws {
 			ws[i].ref = ca.forward(ws[i].ref)
 		}
@@ -209,13 +214,17 @@ type ArenaStats struct {
 	// Words is the arena length (live + garbage), CapWords its backing
 	// capacity, WastedWords the garbage portion awaiting compaction.
 	Words, CapWords, WastedWords int
-	// WatchCapWords is the total backing capacity of the per-literal
-	// watch and binary implication lists in 4-byte words: a watch entry
-	// is two words, a binary entry one. It counts every list the solver
-	// retains, those a Reset kept beyond the current variables included.
-	// Together with CapWords it approximates the memory a pooled solver
-	// retains for its next use — the quantity Pool.MaxRetainedWords caps.
+	// WatchCapWords is the total backing capacity of the watch and
+	// binary implication lists in 4-byte words: a watch entry is two
+	// words, a binary entry one. It counts every list the solver retains,
+	// those a Reset kept that no literal holds now included.
 	WatchCapWords int
+	// RetainedWords is everything a Reset keeps for the solver's next
+	// use, in 4-byte words: CapWords and WatchCapWords plus the
+	// per-variable and per-literal tables, the watch-list headers, the
+	// clause reference lists and the scratch buffers. It is the quantity
+	// Pool.MaxRetainedWords caps.
+	RetainedWords int
 	// Clauses and Learnts count the live problem and learnt clauses,
 	// binary ones included (NumClauses and NumLearnts).
 	Clauses, Learnts int
@@ -227,17 +236,37 @@ type ArenaStats struct {
 // ArenaStats returns the current clause-arena statistics.
 func (s *Solver) ArenaStats() ArenaStats {
 	watchCap := s.bins.capWords()
-	for _, ws := range s.watches[:cap(s.watches)] {
-		watchCap += cap(ws) * 2
+	headers := 0 // bytes of the watch-list headers and their blocks
+	for _, blk := range s.watches.blocks {
+		headers += capBytes(blk)
+		for _, ws := range blk {
+			watchCap += cap(ws) * 2
+		}
 	}
+	tables := headers + capBytes(s.watches.blocks) + capBytes(s.watches.idx) +
+		capBytes(s.bins.spans) + capBytes(s.bins.moved) +
+		capBytes(s.clauses) + capBytes(s.learnts) +
+		capBytes(s.assigns) + capBytes(s.polarity) + capBytes(s.level) + capBytes(s.reason) +
+		capBytes(s.trail) + capBytes(s.trailLim) + capBytes(s.activity) +
+		capBytes(s.order.heap) + capBytes(s.order.indices) +
+		capBytes(s.seen) + capBytes(s.minStack) + capBytes(s.lbdStamp) +
+		capBytes(s.addBuf) + capBytes(s.litBuf) + capBytes(s.learntBuf) +
+		capBytes(s.proofBuf) + capBytes(s.importBuf) + capBytes(s.assumptions)
 	return ArenaStats{
 		Words:         len(s.ca.data),
 		CapWords:      cap(s.ca.data),
 		WastedWords:   s.ca.wasted,
 		WatchCapWords: watchCap,
+		RetainedWords: cap(s.ca.data) + watchCap + (tables+3)/4,
 		Clauses:       s.NumClauses(),
 		Learnts:       s.NumLearnts(),
 		Collections:   s.ca.collections,
 		FreedWords:    s.ca.freedWords,
 	}
+}
+
+// capBytes returns the size of the storage backing s.
+func capBytes[T any](s []T) int {
+	var zero T
+	return cap(s) * int(unsafe.Sizeof(zero))
 }

@@ -79,12 +79,19 @@ type checker struct {
 	units []int
 	// sorted is remove's buffer for a candidate's sorted literals.
 	sorted []int
+	// assign holds each variable's value during a rup check: 1 true, -1
+	// false, 0 unassigned. trail lists the literals rup made true, in
+	// order: propagation reads it as its queue, and rup clears just their
+	// variables before it returns. Both are reused across lemmas.
+	assign []int8
+	trail  []int
 }
 
 func newChecker(cnf *CNF) *checker {
 	c := &checker{
 		clauses: map[int][]int{},
 		occur:   map[int][]int{},
+		assign:  make([]int8, cnf.NumVars+1),
 	}
 	var lits []int
 	for i := range cnf.NumClauses() {
@@ -132,90 +139,111 @@ func (c *checker) remove(lits []int) {
 
 // rup reports whether the clause is derivable by reverse unit
 // propagation: assuming all its literals false must yield a conflict
-// under unit propagation over the current database.
+// under unit propagation over the current database. Once assign has
+// room for the lemma's variables, it allocates nothing.
 func (c *checker) rup(lits []int) bool {
-	assign := map[int]int8{} // var -> +1/-1
-	var queue []int          // literals made true, not yet propagated
-	assignLit := func(l int) bool {
-		v, s := abs(l), int8(1)
-		if l < 0 {
-			s = -1
-		}
-		if old, ok := assign[v]; ok {
-			return old == s // false signals conflict
-		}
-		assign[v] = s
-		queue = append(queue, l)
-		return true
-	}
-	valueOf := func(l int) int8 {
-		s, ok := assign[abs(l)]
-		if !ok {
-			return 0
-		}
-		if l < 0 {
-			return -s
-		}
-		return s
-	}
-	// conflict reports whether clause cl is falsified, and assigns its
-	// open literal when it is unit.
-	conflict := func(cl []int) bool {
-		open, openCount := 0, 0
-		for _, l := range cl {
-			switch valueOf(l) {
-			case 1:
-				return false
-			case 0:
-				// Count distinct literals: a clause that repeats its
-				// one open literal is still unit.
-				if openCount == 0 || l != open {
-					openCount++
-				}
-				open = l
-			}
-		}
-		switch openCount {
-		case 0:
-			return true
-		case 1:
-			assignLit(open)
-		}
-		return false
-	}
-	// conflictIn visits the live clauses of ids, returning them with the
-	// stale ids of deleted clauses dropped.
-	conflictIn := func(ids []int) ([]int, bool) {
-		live := ids[:0]
-		for i, id := range ids {
-			cl, ok := c.clauses[id]
-			if !ok {
-				continue
-			}
-			live = append(live, id)
-			if conflict(cl) {
-				return append(live, ids[i+1:]...), true
-			}
-		}
-		return live, false
-	}
 	for _, l := range lits {
-		if !assignLit(-l) {
+		if v := abs(l); v >= len(c.assign) {
+			c.assign = append(c.assign, make([]int8, v+1-len(c.assign))...)
+		}
+	}
+	defer c.unassign()
+	for _, l := range lits {
+		if !c.assignLit(-l) {
 			return true // the negated clause is self-contradictory
 		}
 	}
 	var confl bool
-	if c.units, confl = conflictIn(c.units); confl {
+	if c.units, confl = c.conflictIn(c.units); confl {
 		return true
 	}
-	for len(queue) > 0 {
-		l := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if c.occur[-l], confl = conflictIn(c.occur[-l]); confl {
+	for i := 0; i < len(c.trail); i++ {
+		ids, ok := c.occur[-c.trail[i]]
+		if !ok {
+			continue
+		}
+		if c.occur[-c.trail[i]], confl = c.conflictIn(ids); confl {
 			return true
 		}
 	}
 	return false
+}
+
+// value returns 1 if l is true, -1 if it is false and 0 if its variable
+// is unassigned.
+func (c *checker) value(l int) int8 {
+	if l < 0 {
+		return -c.assign[-l]
+	}
+	return c.assign[l]
+}
+
+// assignLit makes l true and queues it. It returns false if l is false.
+func (c *checker) assignLit(l int) bool {
+	switch c.value(l) {
+	case 1:
+		return true
+	case -1:
+		return false
+	}
+	if l < 0 {
+		c.assign[-l] = -1
+	} else {
+		c.assign[l] = 1
+	}
+	c.trail = append(c.trail, l)
+	return true
+}
+
+// unassign clears the assignments of the last rup check.
+func (c *checker) unassign() {
+	for _, l := range c.trail {
+		c.assign[abs(l)] = 0
+	}
+	c.trail = c.trail[:0]
+}
+
+// conflict reports whether clause cl is falsified, and assigns its open
+// literal when it is unit.
+func (c *checker) conflict(cl []int) bool {
+	open, openCount := 0, 0
+	for _, l := range cl {
+		switch c.value(l) {
+		case 1:
+			return false
+		case 0:
+			// Count distinct literals: a clause that repeats its one
+			// open literal is still unit.
+			if openCount == 0 || l != open {
+				openCount++
+			}
+			open = l
+		}
+	}
+	switch openCount {
+	case 0:
+		return true
+	case 1:
+		c.assignLit(open)
+	}
+	return false
+}
+
+// conflictIn visits the live clauses of ids, returning them with the
+// stale ids of deleted clauses dropped.
+func (c *checker) conflictIn(ids []int) ([]int, bool) {
+	live := ids[:0]
+	for i, id := range ids {
+		cl, ok := c.clauses[id]
+		if !ok {
+			continue
+		}
+		live = append(live, id)
+		if c.conflict(cl) {
+			return append(live, ids[i+1:]...), true
+		}
+	}
+	return live, false
 }
 
 // CheckDRAT verifies a DRAT proof of unsatisfiability for the formula:

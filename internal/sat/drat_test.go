@@ -95,6 +95,27 @@ func TestDRATWithReduceDB(t *testing.T) {
 	}
 }
 
+// TestRUPAllocationFree: once a checker is loaded, checking a lemma
+// allocates nothing, whether it is RUP or not. The assignments live in
+// one per-checker array that a trail of the literals set clears.
+func TestRUPAllocationFree(t *testing.T) {
+	cnf := &CNF{}
+	cnf.AddClause(1, 2)
+	cnf.AddClause(-2, 3)
+	cnf.AddClause(-3, 4, 5)
+	cnf.AddClause(-5)
+	c := newChecker(cnf)
+	rup, notRUP := []int{1, 4}, []int{1}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !c.rup(rup) || c.rup(notRUP) {
+			t.Fatal("(1 ∨ 4) must be RUP and (1) must not")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("checking two lemmas: %v allocations, want 0", allocs)
+	}
+}
+
 func TestDRATRejectsBogusProofs(t *testing.T) {
 	cnf := &CNF{}
 	cnf.AddClause(1, 2)

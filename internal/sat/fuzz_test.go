@@ -3,6 +3,7 @@ package sat
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,7 +72,10 @@ func FuzzParseDimacs(f *testing.F) {
 // mix binary and ternary clauses, the shape of the direct and muldirect
 // encodings: a Sat model must satisfy the formula, and an Unsat answer
 // must agree with BruteForce and come with a DRAT proof that CheckDRAT
-// accepts.
+// accepts. The formula is solved again on a solver that first solved
+// another formula, decoded from the input reversed, and was Reset: the
+// lists it retains must not change the search, so the answer, model,
+// Stats and proof bytes must equal the fresh solve's.
 func FuzzSolveAgainstBrute(f *testing.F) {
 	// A literal byte is (variable-1)<<1 | sign.
 	f.Add([]byte{1, 0, 0, 1, 0, 2, 3})                         // (1 ∨ -1) (2 ∨ -2): tautologies
@@ -93,11 +97,24 @@ func FuzzSolveAgainstBrute(f *testing.F) {
 			if want, _ := BruteForce(cnf); want != Unsat {
 				t.Fatalf("solver says Unsat, brute force %v:\n%s", want, dimacsText(cnf))
 			}
-			if err := CheckDRAT(cnf, &proof); err != nil {
+			if err := CheckDRAT(cnf, bytes.NewReader(proof.Bytes())); err != nil {
 				t.Fatalf("proof rejected: %v\nformula\n%s", err, dimacsText(cnf))
 			}
 		default:
 			t.Fatalf("no answer (%v) on\n%s", res.Status, dimacsText(cnf))
+		}
+		prev := slices.Clone(data)
+		slices.Reverse(prev)
+		reused := New(Options{})
+		reused.Load(fuzzCNF(prev))
+		reused.Solve(context.Background())
+		var again bytes.Buffer
+		reused.Reset(Options{ProofWriter: &again})
+		got := solveCNFOn(reused, context.Background(), cnf)
+		if got.Status != res.Status || got.Stats != res.Stats || !slices.Equal(got.Model, res.Model) ||
+			!bytes.Equal(again.Bytes(), proof.Bytes()) {
+			t.Fatalf("after solving\n%sand a Reset, the solver says %v after %d conflicts, a fresh one %v after %d, on\n%s",
+				dimacsText(fuzzCNF(prev)), got.Status, got.Stats.Conflicts, res.Status, res.Stats.Conflicts, dimacsText(cnf))
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 // checkInvariants verifies structural solver invariants at decision
 // level 0: every arena clause has at least three literals and is
 // watched on exactly its first two, watch lists reference live clauses,
+// no two literals share a watch list and the shared empty one is empty,
 // every binary clause has both of its implication-list entries and no
 // others, the implication-list store is sound (see
 // implLists.checkInvariants), reasons name clauses that imply their
@@ -34,8 +35,19 @@ func (s *Solver) checkInvariants() error {
 		}
 	}
 	watched := map[ClauseRef]int{}
-	for l := range s.watches {
-		for _, w := range s.watches[l] {
+	if len(s.watches.blocks[0][0]) != 0 {
+		return fmt.Errorf("the shared empty watch list holds %d entries", len(s.watches.blocks[0][0]))
+	}
+	owner := map[uint32]int{}
+	for l, n := range s.watches.idx {
+		if n >= s.watches.next {
+			return fmt.Errorf("literal %d holds watch list %d, not handed out before %d", l, n, s.watches.next)
+		}
+		if o, shared := owner[n]; shared && n != 0 {
+			return fmt.Errorf("literals %d and %d share watch list %d", o, l, n)
+		}
+		owner[n] = l
+		for _, w := range *s.watches.list(Lit(l)) {
 			if !all[w.ref] {
 				return fmt.Errorf("watch list references removed clause")
 			}

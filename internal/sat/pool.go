@@ -16,10 +16,10 @@ import (
 // nil *Pool is valid too: Get builds a fresh solver and Put drops it.
 type Pool struct {
 	// MaxRetainedWords caps the footprint a solver may retain to be
-	// pooled: a solver whose clause-arena capacity plus watch-list
-	// capacity (in 4-byte words, see ArenaStats) exceeds the cap is
-	// dropped by Put instead of recycled, so one huge instance in a
-	// mixed-size workload cannot permanently bloat every later borrower.
+	// pooled: a solver whose ArenaStats.RetainedWords (everything a Reset
+	// keeps, in 4-byte words) exceeds the cap is dropped by Put instead
+	// of recycled, so one huge instance in a mixed-size workload cannot
+	// permanently bloat every later borrower.
 	// 0 selects DefaultMaxRetainedWords; a negative value disables the
 	// cap. Set it before the pool is first used.
 	MaxRetainedWords int
@@ -37,11 +37,11 @@ type Pool struct {
 
 // DefaultMaxRetainedWords is the retained-footprint cap applied when
 // Pool.MaxRetainedWords is zero: 8M words (32 MiB), room for every
-// Table-2 instance while still shedding pathological outliers. A binary
-// clause's two list entries count one word each (see ArenaStats), so
-// the direct encoding of the 10× scaled fabric, 99% binary, retains
-// 2,799,758 words after its width search and is reused, while the 30×
-// one retains 8,497,490 and is dropped.
+// Table-2 instance while still shedding pathological outliers. After
+// its width search the direct encoding of the 10× scaled fabric retains
+// 5,159,676 words (61.5% of the cap; 2,799,758 of them clauses and
+// lists) and is reused, while the 30× one retains 15,591,086 (186%) and
+// is dropped.
 const DefaultMaxRetainedWords = 1 << 23
 
 // Get returns a solver reset and configured with opts. The solver is
@@ -78,7 +78,7 @@ func (p *Pool) Put(s *Solver) {
 	if limit == 0 {
 		limit = DefaultMaxRetainedWords
 	}
-	if limit > 0 && st.CapWords+st.WatchCapWords > limit {
+	if limit > 0 && st.RetainedWords > limit {
 		p.oversized.Add(1)
 		return
 	}

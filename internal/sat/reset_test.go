@@ -116,9 +116,9 @@ func TestLoadAllocsIndependentOfVars(t *testing.T) {
 	}
 	s := New(Options{})
 	s.Load(&CNF{NumVars: 1000})
-	if cap(s.assigns) != 1000 || cap(s.activity) != 1000 || cap(s.watches) != 2000 || cap(s.bins.spans) != 2000 {
+	if cap(s.assigns) != 1000 || cap(s.activity) != 1000 || cap(s.watches.idx) != 2000 || cap(s.bins.spans) != 2000 {
 		t.Errorf("tables sized %d/%d/%d/%d, want 1000/1000/2000/2000",
-			cap(s.assigns), cap(s.activity), cap(s.watches), cap(s.bins.spans))
+			cap(s.assigns), cap(s.activity), cap(s.watches.idx), cap(s.bins.spans))
 	}
 
 	s = New(Options{})
@@ -174,6 +174,73 @@ func TestLoadAllocsIndependentOfClauses(t *testing.T) {
 	s.Load(large)
 	if allocs := testing.AllocsPerRun(2, func() { s.Reset(Options{}); s.Load(large) }); allocs != 0 {
 		t.Errorf("reloading a Reset solver: %.0f allocations, want 0", allocs)
+	}
+}
+
+// TestReloadMixedAllocationFree: a Reset solver hands its watch lists
+// out again in the order the clauses first watch them, so reloading a
+// mixed 2-/3-CNF, whose ternary clauses are watched and whose binary
+// ones fill the implication lists, allocates nothing, even after a
+// solve has moved watches onto other literals.
+func TestReloadMixedAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	f := randomCNF(rng, 2000, 3200, mixed23)
+	s := New(Options{})
+	s.Load(f)
+	if st := s.Solve(context.Background()); st != Sat {
+		t.Fatalf("test premise broken: %v, want Sat", st)
+	}
+	watched := 0
+	for _, n := range s.watches.idx {
+		if n != 0 {
+			watched++
+		}
+	}
+	if s.Stats.Propagations == 0 || watched < 1000 {
+		t.Fatalf("test premise broken: %d propagations, %d watched literals", s.Stats.Propagations, watched)
+	}
+	t.Logf("%d propagations, %d watched literals", s.Stats.Propagations, watched)
+	if allocs := testing.AllocsPerRun(2, func() { s.Reset(Options{}); s.Load(f) }); allocs != 0 {
+		t.Errorf("reloading a mixed 2-/3-CNF into a Reset solver: %.0f allocations, want 0", allocs)
+	}
+}
+
+// TestWatchListBlocks hands out 300,000 watch lists, past the block
+// count where doubling the first block's size would overflow a shift.
+// Every list must get a header of its own, the blocks must double from
+// the first one's 16 headers to 1,024 and stay there, and after a Reset
+// the same lists must be handed out again without an allocation.
+func TestWatchListBlocks(t *testing.T) {
+	const lists = 300000
+	var wl watchLists
+	wl.reset()
+	wl.idx = make([]uint32, lists)
+	headers := map[*[]watch]bool{wl.list(0): true}
+	for l := range wl.idx {
+		wl.idx[l] = wl.give()
+		if h := wl.list(Lit(l)); headers[h] {
+			t.Fatalf("list %d of literal %d shares its header", wl.idx[l], l)
+		} else {
+			headers[h] = true
+		}
+	}
+	size := 16
+	for b, blk := range wl.blocks {
+		if len(blk) != size {
+			t.Fatalf("block %d holds %d headers, want %d", b, len(blk), size)
+		}
+		size = min(2*size, 1024)
+	}
+	blocks := len(wl.blocks)
+	allocs := testing.AllocsPerRun(1, func() {
+		wl.reset()
+		for range lists {
+			wl.give()
+		}
+	})
+	if allocs != 0 || len(wl.blocks) != blocks {
+		t.Errorf("handing %d lists out again after a Reset: %.0f allocations, %d blocks; want 0 and %d",
+			lists, allocs, len(wl.blocks), blocks)
 	}
 }
 
@@ -517,6 +584,25 @@ func TestNilPoolBuildsFreshSolvers(t *testing.T) {
 	pool.Put(s)
 	if res := SolveCNFReusing(context.Background(), pool, php(5, 5), Options{}); res.Status != Sat {
 		t.Fatalf("php(5,5) on a nil pool = %v, want Sat", res.Status)
+	}
+}
+
+// TestPoolCountsVariableTables: a solver retains its per-variable and
+// per-literal tables as well as its clauses and lists, so a solver
+// loaded with 100,000 variables and no clause, which holds megabytes of
+// tables, must not fit a 64K-word cap.
+func TestPoolCountsVariableTables(t *testing.T) {
+	pool := Pool{MaxRetainedWords: 1 << 16}
+	s := pool.Get(Options{})
+	s.Load(&CNF{NumVars: 100000})
+	st := s.ArenaStats()
+	if st.CapWords+st.WatchCapWords != 0 {
+		t.Fatalf("test premise broken: %d words of clauses and lists", st.CapWords+st.WatchCapWords)
+	}
+	t.Logf("100,000 variables, no clause: %d words retained", st.RetainedWords)
+	pool.Put(s)
+	if got := pool.Stats().Oversized; got != 1 {
+		t.Errorf("Oversized = %d after Put of a solver over 100,000 variables, want 1", got)
 	}
 }
 

@@ -17,6 +17,88 @@ type watch struct {
 	blocker Lit
 }
 
+// watchLists holds the watch lists of the arena clauses. Only the
+// literals some clause has watched own a list: on the scaled fabrics,
+// whose formulas are almost all binary clauses, that is a tenth to a
+// quarter of them. Every literal holds a 4-byte list number, where a
+// 24-byte list header each would cost more than the lists themselves.
+// List 0 is a shared empty list, so propagation reads any literal's
+// list without a branch; a literal gets a list of its own the first
+// time a clause watches it.
+//
+// The headers live in blocks that are allocated when the last one is
+// full and are never copied, so a pointer to a header stays valid while
+// other literals get lists. The first block holds 1<<watchFirstBits
+// headers and each next one twice as many, up to 1<<watchBlockBits, so
+// a small solver pays for a small table. List n lies at
+// blocks[n>>watchBlockBits][n&watchBlockMask].
+//
+// Reset keeps every block and every list's capacity, and hands the lists
+// out again in first-watch order, so a warm reload of the same formula
+// allocates nothing. Lists not yet handed out since the Reset hold stale
+// entries that nothing reads.
+type watchLists struct {
+	idx    []uint32 // indexed by Lit: the literal's list number, 0 if none
+	blocks [][][]watch
+	next   uint32 // the number of the next list to hand out
+}
+
+const (
+	watchFirstBits = 4
+	watchBlockBits = 10
+	watchBlockMask = 1<<watchBlockBits - 1
+)
+
+// reset forgets which literal owns which list, keeping every list.
+func (wl *watchLists) reset() {
+	if len(wl.blocks) == 0 {
+		wl.blocks = append(wl.blocks, make([][]watch, 1<<watchFirstBits))
+	}
+	wl.idx = wl.idx[:0]
+	wl.next = 1
+}
+
+// addVar gives a new variable's two literals the shared empty list.
+func (wl *watchLists) addVar() { wl.idx = append(wl.idx, 0, 0) }
+
+// list returns l's list header. The pointer stays valid until the next
+// Reset.
+func (wl *watchLists) list(l Lit) *[]watch { return wl.at(wl.idx[l]) }
+
+// at returns the header of list n.
+func (wl *watchLists) at(n uint32) *[]watch {
+	return &wl.blocks[n>>watchBlockBits][n&watchBlockMask]
+}
+
+// push appends w to l's list, handing l a list first if it has none.
+func (wl *watchLists) push(l Lit, w watch) {
+	n := wl.idx[l]
+	if n == 0 {
+		n = wl.give()
+		wl.idx[l] = n
+	}
+	ws := wl.at(n)
+	*ws = append(*ws, w)
+}
+
+// give hands out the next list, emptied, and returns its number. It
+// allocates the list's block if no earlier solve reached it.
+func (wl *watchLists) give() uint32 {
+	n := wl.next
+	b, o := int(n>>watchBlockBits), n&watchBlockMask
+	if b == len(wl.blocks) {
+		wl.blocks = append(wl.blocks, make([][]watch, 1<<min(watchFirstBits+b, watchBlockBits)))
+	}
+	blk := wl.blocks[b]
+	blk[o] = blk[o][:0]
+	if int(o)+1 < len(blk) {
+		wl.next = n + 1
+	} else {
+		wl.next = uint32(b+1) << watchBlockBits
+	}
+	return n
+}
+
 // Stats counts solver work. It is valid after Solve returns and is
 // also delivered, as a point-in-time snapshot, to the Options.Progress
 // callback during a solve.
@@ -128,7 +210,7 @@ type Solver struct {
 	ca      clauseArena
 	clauses []ClauseRef // problem clauses of 3+ literals
 	learnts []ClauseRef // learnt clauses of 3+ literals
-	watches [][]watch   // indexed by Lit; watches[l] lists arena clauses watching l
+	watches watchLists  // watches.list(l) holds the arena clauses watching l
 	// bins.list(l) holds the other literal of every binary clause
 	// containing l, so each entry is implied once l is false. binClauses
 	// and binLearnts count the problem and learnt binary clauses (learnt
@@ -231,9 +313,7 @@ func (s *Solver) Reset(opts Options) {
 	s.ca.reset()
 	s.clauses = s.clauses[:0]
 	s.learnts = s.learnts[:0]
-	// NewVar re-exposes the inner lists, with their capacity, by
-	// reslicing the outer ones.
-	s.watches = s.watches[:0]
+	s.watches.reset()
 	s.bins.reset()
 	s.binClauses, s.binLearnts = 0, 0
 	s.assigns = s.assigns[:0]
@@ -295,31 +375,17 @@ func (s *Solver) NewVar() Var {
 	s.reason = append(s.reason, RefUndef)
 	s.activity = append(s.activity, act)
 	s.seen = append(s.seen, 0)
-	s.watches = extendLitLists(s.watches)
+	s.watches.addVar()
 	s.bins.addVar()
 	s.order.insert(v)
 	return v
-}
-
-// extendLitLists adds the two watch lists of a new variable. When a
-// Reset left capacity behind it re-exposes the retained inner lists by
-// reslicing; appending nil would orphan them.
-func extendLitLists(lists [][]watch) [][]watch {
-	n := len(lists)
-	if cap(lists) < n+2 {
-		return append(lists, nil, nil)
-	}
-	lists = lists[:n+2]
-	lists[n] = lists[n][:0]
-	lists[n+1] = lists[n+1][:0]
-	return lists
 }
 
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
 // ensureVars creates variables until the solver has n. Tables without
-// room for n variables grow once, to exactly n (2n per-literal lists),
+// room for n variables grow once, to exactly n (2n per-literal entries),
 // instead of once per append; the variables are then created one by
 // one, in index order, exactly as repeated NewVar calls create them.
 func (s *Solver) ensureVars(n int) {
@@ -336,7 +402,7 @@ func (s *Solver) ensureVars(n int) {
 	s.activity = grown(s.activity, n)
 	s.seen = grown(s.seen, n)
 	s.trail = grown(s.trail, n)
-	s.watches = grown(s.watches, 2*n)
+	s.watches.idx = grown(s.watches.idx, 2*n)
 	s.bins.spans = grown(s.bins.spans, 2*n)
 	s.order.heap = grown(s.order.heap, n)
 	s.order.indices = grown(s.order.indices, n)
@@ -431,18 +497,19 @@ func (s *Solver) AddDimacsClause(dimacs ...int) bool {
 func (s *Solver) attach(ref ClauseRef) {
 	lits := s.ca.lits(ref)
 	l0, l1 := Lit(lits[0]), Lit(lits[1])
-	s.watches[l0] = append(s.watches[l0], watch{ref, l1})
-	s.watches[l1] = append(s.watches[l1], watch{ref, l0})
+	s.watches.push(l0, watch{ref, l1})
+	s.watches.push(l1, watch{ref, l0})
 }
 
 func (s *Solver) detach(ref ClauseRef) {
 	lits := s.ca.lits(ref)
 	for _, l := range [2]Lit{Lit(lits[0]), Lit(lits[1])} {
-		ws := s.watches[l]
+		wp := s.watches.list(l)
+		ws := *wp
 		for i := range ws {
 			if ws[i].ref == ref {
 				ws[i] = ws[len(ws)-1]
-				s.watches[l] = ws[:len(ws)-1]
+				*wp = ws[:len(ws)-1]
 				break
 			}
 		}
@@ -487,7 +554,8 @@ func (s *Solver) propagate() ClauseRef {
 				return binRef(falseLit)
 			}
 		}
-		ws := s.watches[falseLit]
+		wp := s.watches.list(falseLit)
+		ws := *wp
 		j := 0
 	nextWatch:
 		for i := 0; i < len(ws); i++ {
@@ -512,8 +580,15 @@ func (s *Solver) propagate() ClauseRef {
 			for k := 2; k < len(lits); k++ {
 				if s.value(Lit(lits[k])) != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					wl := Lit(lits[1])
-					s.watches[wl] = append(s.watches[wl], watch{w.ref, first})
+					// watches.push, by hand: the compiler does not inline
+					// it, and a call on this path cost PHP7 about 5%.
+					n := s.watches.idx[lits[1]]
+					if n == 0 {
+						n = s.watches.give()
+						s.watches.idx[lits[1]] = n
+					}
+					to := s.watches.at(n)
+					*to = append(*to, watch{w.ref, first})
 					continue nextWatch
 				}
 			}
@@ -532,7 +607,7 @@ func (s *Solver) propagate() ClauseRef {
 			}
 			s.uncheckedEnqueue(first, w.ref)
 		}
-		s.watches[falseLit] = ws[:j]
+		*wp = ws[:j]
 		if confl != RefUndef {
 			return confl
 		}

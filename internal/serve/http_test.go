@@ -101,23 +101,37 @@ func TestHTTPSolveSyncUnroutable(t *testing.T) {
 // 2^25 vertices, whose CSR offsets alone would take 128 MiB. The
 // daemon must answer 400 without allocating them, and a request
 // without a width must fail on the width before the graph is parsed.
+// A graph of 2^20 vertices fits MaxSubmitVertices, but at width 3 its
+// cells exceed MaxSubmitCells, and a solve would take 2 million
+// variables: it too must be refused from the header. No job is
+// admitted.
 func TestHTTPInlineGraphVertexCap(t *testing.T) {
-	_, ts := newHTTPServer(t, Options{})
-	const huge = "p edge 33554432 0"
+	s, ts := newHTTPServer(t, Options{})
+	const huge, wide = "p edge 33554432 0", "p edge 1048576 0"
+	if 1<<20 > MaxSubmitVertices || 3<<20 <= MaxSubmitCells {
+		t.Fatal("test premise broken: 2^20 vertices must fit MaxSubmitVertices and not fit MaxSubmitCells at width 3")
+	}
 	for _, tc := range []struct {
+		graph string
 		width int
 		want  string
-	}{{3, "vertex count"}, {0, "width"}} {
+	}{{huge, 3, "vertex count"}, {huge, 0, "width"}, {wide, 3, "vertex count"}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		code, raw := postSolve(t, ts, SolveRequest{Graph: huge, Width: tc.width})
+		code, raw := postSolve(t, ts, SolveRequest{Graph: tc.graph, Width: tc.width})
 		runtime.ReadMemStats(&after)
 		if code != http.StatusBadRequest || !strings.Contains(string(raw), tc.want) {
-			t.Errorf("width %d: status %d, body %s; want a 400 naming the %s", tc.width, code, raw, tc.want)
+			t.Errorf("%q at width %d: status %d, body %s; want a 400 naming the %s", tc.graph, tc.width, code, raw, tc.want)
 		}
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-			t.Errorf("width %d: rejecting the graph allocated %d bytes, want under 1 MiB", tc.width, alloc)
+			t.Errorf("%q at width %d: rejecting the graph allocated %d bytes, want under 1 MiB", tc.graph, tc.width, alloc)
 		}
+	}
+	if got := s.reg.Counter(MetricJobsSubmitted).Value(); got != 0 {
+		t.Errorf("%s = %d, want 0", MetricJobsSubmitted, got)
+	}
+	if n := s.jobs.len(); n != 0 {
+		t.Errorf("the job table holds %d jobs, want 0", n)
 	}
 }
 

@@ -125,6 +125,14 @@ const (
 	// At the cap the offsets take 4 MiB, and it admits about 9× the
 	// 115k nets of the 100× scaled fabric.
 	MaxSubmitVertices = 1 << 20
+	// MaxSubmitCells caps an inline graph's vertices times its width:
+	// the encodings create variables per vertex and color whether or not
+	// the graph has edges, so the 18-byte graph "p edge 1048576 0" at
+	// width 3 would buy 2,097,149 variables and a 329 MB peak. The graph
+	// is refused from its header, before any CSR storage exists. The cap
+	// admits the 100× scaled fabric (115,200 nets, channel width 8) at
+	// any width up to 18.
+	MaxSubmitCells = 1 << 21
 	// MaxSubmitLanes caps lane replication per job so one request
 	// cannot claim an unbounded slice of a shard's solver pool.
 	MaxSubmitLanes = 64
@@ -796,7 +804,7 @@ func (s *Server) resolveProblem(req *SolveRequest) (*graph.Graph, int, string, e
 		if req.Width < 1 {
 			return nil, 0, "", badRequest("width must be >= 1 with an inline graph, got %d", req.Width)
 		}
-		g, err := graph.ParseDIMACS(strings.NewReader(req.Graph), MaxSubmitVertices)
+		g, err := graph.ParseDIMACS(strings.NewReader(req.Graph), min(MaxSubmitVertices, MaxSubmitCells/req.Width))
 		if err != nil {
 			return nil, 0, "", badRequest("parsing graph: %v", err)
 		}
